@@ -10,6 +10,7 @@ Modules:
     ppo         clipped-surrogate PPO with GAE
     policies    baselines and seeded evaluation
     config      YAML experiment configuration
+    artifacts   the one CSV writer behind every exported file
     harness     CLI command implementations
 """
 

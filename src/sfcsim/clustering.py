@@ -7,7 +7,6 @@ cells with similar daily patterns; an elbow scan over k guides the choice
 of cluster count.
 """
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -210,25 +209,3 @@ def suggest_elbow_k(scan: list[tuple[int, float]]) -> int:
     y = (sses - sses[-1]) / span if span > 0 else np.zeros_like(sses)
     chord = 1.0 - x
     return int(ks[np.argmax(chord - y)])
-
-
-def write_elbow_csv(scan: list[tuple[int, float]], path,
-                    comments: list[str] | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["k", "sse"])
-        for k, sse in scan:
-            writer.writerow([k, repr(sse)])
-
-
-def write_cluster_map_csv(model: ClusterModel, path,
-                          comments: list[str] | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", "cluster_index"])
-        for cell in sorted(model.assignments):
-            writer.writerow([cell, model.assignments[cell]])

@@ -8,14 +8,13 @@ drawn by allocated VNFs, a small restart penalty, and a completion bonus:
     reward = -(1 - sfc) * w_p * packets - w_e * energy - restart + sfc * f
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .seeding import derive_seed, entity_rng
-from .simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SimState,
-                      Topology, init_topology)
+from .simcore import EnergyModel, FailureModel, N_VNF_TYPES, SimState, Topology
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,9 @@ class ActionTuple:
     """The agent's action: (type, data center, server, VNF type).
 
     ``a`` is 1 create, 2 delete, 3 restart, 4 no-op; the remaining fields
-    are zero-based indices and are carried but ignored for no-ops.
+    are zero-based indices, ignored by a no-op but range-checked all the
+    same (``SimState.apply_action`` raises ValueError for any outside the
+    topology).
     """
 
     a: int
@@ -78,25 +79,6 @@ class EnvConfig:
             raise ValueError("f must be > 0")
         if min(self.w_p, self.w_e, self.restart_penalty) < 0:
             raise ValueError("weights must be nonnegative")
-
-
-def validate_action(raw, topology: Topology) -> ActionTuple:
-    """Range-check a raw 4-integer action against the topology.
-
-    The learned policy only emits in-range components; this guards external
-    callers such as replay files or hand-written policies.
-    """
-    a, dc, server, vnf_type = (int(x) for x in raw)
-    if a not in (1, 2, 3, 4):
-        raise ValueError(f"action type must be in 1..4, got {a}")
-    if not 0 <= dc < topology.n_dcs:
-        raise ValueError(f"dc index must be in 0..{topology.n_dcs - 1}, got {dc}")
-    if not 0 <= server < topology.servers_per_dc:
-        raise ValueError(
-            f"server index must be in 0..{topology.servers_per_dc - 1}, got {server}")
-    if not 0 <= vnf_type < N_VNF_TYPES:
-        raise ValueError(f"vnf type must be in 0..{N_VNF_TYPES - 1}, got {vnf_type}")
-    return ActionTuple(a, dc, server, vnf_type)
 
 
 @dataclass
@@ -168,7 +150,7 @@ class SfcEnv:
 
     def reset(self, seed: int = 0) -> Observation:
         sim_seed = derive_seed(seed, "sim")
-        self.sim = init_topology(self.topology, self.failure, t0=0.0, seed=sim_seed)
+        self.sim = SimState(self.topology, self.failure, t0=0.0, seed=sim_seed)
         offset = 0
         if not self.config.eval_mode and self.config.episode_length is not None:
             max_offset = self.trace.n_steps - self.episode_steps()
@@ -183,9 +165,9 @@ class SfcEnv:
         return self.encode_observation()
 
     def step(self, action: ActionTuple) -> tuple[Observation, float, bool, RewardBreakdown]:
+        """Apply ``action`` (see ``ActionTuple``), then simulate one window."""
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        action = validate_action(action.components(), self.topology)
         outcome = self.sim.apply_action(*action.components())
         dt_hours = self.config.step_duration / 3600.0
         self.sim.advance_to(self.sim.time + dt_hours)
@@ -232,23 +214,14 @@ class SfcEnv:
             counts /= self.topology.max_vnfs_per_server
         return Observation(activities, counts)
 
-    # --------------------------------------------------------------- exports
-
-    def write_step_trace_csv(self, path, comments: list[str] | None = None) -> None:
-        write_step_records(self.step_records, path, comments)
-
 
 def write_step_records(records: list[StepRecord], path,
                        comments: list[str] | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "a", "dc", "server", "vnf_type", "accepted",
-                         "sfc", "packets", "lost", "energy_w", "reward",
-                         "cum_reward", "cum_lost"])
-        for r in records:
-            writer.writerow([r.step, r.a, r.dc, r.server, r.vnf_type,
-                             int(r.accepted), r.sfc, repr(r.packets),
-                             repr(r.lost), repr(r.energy_w), repr(r.reward),
-                             repr(r.cum_reward), repr(r.cum_lost)])
+    write_csv(path, ["step", "a", "dc", "server", "vnf_type", "accepted",
+                     "sfc", "packets", "lost", "energy_w", "reward",
+                     "cum_reward", "cum_lost"],
+              ([r.step, r.a, r.dc, r.server, r.vnf_type, int(r.accepted),
+                r.sfc, repr(r.packets), repr(r.lost), repr(r.energy_w),
+                repr(r.reward), repr(r.cum_reward), repr(r.cum_lost)]
+               for r in records),
+              comments)

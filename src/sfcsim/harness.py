@@ -5,12 +5,13 @@ into the output directory. All randomness is derived from the master seed,
 so rerunning a command with the same config produces byte-identical files.
 """
 
-import csv
+import dataclasses
 import logging
 import time
 from pathlib import Path
 
 from . import clustering, policies, ppo, trace as trace_mod
+from .artifacts import write_csv
 from .config import ConfigError, ExperimentConfig, config_hash
 from .env import EnvConfig, SfcEnv, write_step_records
 from .policy import PolicyNetwork
@@ -21,16 +22,6 @@ logger = logging.getLogger(__name__)
 
 def _comments(cfg: ExperimentConfig) -> list[str]:
     return [f"config_hash={config_hash(cfg)} seed={cfg.master_seed}"]
-
-
-def _write_csv(path, header: list[str], rows, comments: list[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
 
 
 def _fmt(x) -> str:
@@ -126,11 +117,14 @@ def cmd_cluster(cfg: ExperimentConfig, out_dir: Path) -> dict:
     k_max = min(cfg.cluster.k_max, len(profiles))
     scan = clustering.elbow_scan(profiles, (cfg.cluster.k_min, k_max),
                                  derive_seed(cfg.master_seed, "kmeans"))
-    clustering.write_elbow_csv(scan, out_dir / "elbow.csv", _comments(cfg))
+    write_csv(out_dir / "elbow.csv", ["k", "sse"],
+              ([k, repr(sse)] for k, sse in scan), _comments(cfg))
     k = min(cfg.cluster.k, len(profiles))
     model = clustering.kmeans_fit(profiles, k, derive_seed(cfg.master_seed, "kmeans"))
     model.save(out_dir / "cluster_model.npz")
-    clustering.write_cluster_map_csv(model, out_dir / "cluster_map.csv", _comments(cfg))
+    write_csv(out_dir / "cluster_map.csv", ["cell_id", "cluster_index"],
+              ([cell, model.assignments[cell]] for cell in sorted(model.assignments)),
+              _comments(cfg))
     suggestion = clustering.suggest_elbow_k(scan)
     sizes = {j: len(clustering.select_cells(model, j)) for j in range(model.k)}
     logger.info("fitted k=%d (sse=%.3f); elbow suggestion k=%d; cluster sizes %s",
@@ -146,8 +140,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> Path:
         return SfcEnv(train_env.trace, cfg.topology, cfg.failure, cfg.energy,
                       train_env.config)
 
-    ppo_cfg = cfg.ppo
-    ppo_cfg.seed = derive_seed(cfg.master_seed, "ppo")
+    # Derive the agent seed into a copy: cfg itself stays as loaded, so the
+    # artifacts of train and eval of one config stamp the same hash.
+    ppo_cfg = dataclasses.replace(cfg.ppo, seed=derive_seed(cfg.master_seed, "ppo"))
     started = time.time()
     net, log = ppo.train(env_factory, ppo_cfg)
     elapsed = time.time() - started
@@ -156,26 +151,26 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
     checkpoint = out_dir / "checkpoint.npz"
     net.save(checkpoint, config_hash(cfg), cfg.master_seed)
-    _write_csv(out_dir / "training_updates.csv",
-               ["update", "loss", "policy_loss", "value_loss",
-                "entropy", "clip_fraction", "kl"],
-               ([row["update"], _fmt(row["loss"]),
-                 _fmt(row["policy_loss"]), _fmt(row["value_loss"]),
-                 _fmt(row["entropy"]), _fmt(row["clip_fraction"]),
-                 _fmt(row["kl"])] for row in log.updates),
-               _comments(cfg))
-    _write_csv(out_dir / "training_steps.csv",
-               ["step", "reward", "sfc", "packets"],
-               ([row["step"], _fmt(row["reward"]), row["sfc"],
-                 _fmt(row["packets"]) if row["packets"] != "" else ""]
-                for row in log.env0_steps),
-               _comments(cfg))
-    _write_csv(out_dir / "training_episodes.csv",
-               ["env", "global_step", "length", "total_reward", "total_lost",
-                "sfc_steps"],
-               ([e.env_index, e.global_step, e.length, _fmt(e.total_reward),
-                 _fmt(e.total_lost), e.sfc_steps] for e in log.episodes),
-               _comments(cfg))
+    write_csv(out_dir / "training_updates.csv",
+              ["update", "loss", "policy_loss", "value_loss",
+               "entropy", "clip_fraction", "kl"],
+              ([row["update"], _fmt(row["loss"]),
+                _fmt(row["policy_loss"]), _fmt(row["value_loss"]),
+                _fmt(row["entropy"]), _fmt(row["clip_fraction"]),
+                _fmt(row["kl"])] for row in log.updates),
+              _comments(cfg))
+    write_csv(out_dir / "training_steps.csv",
+              ["step", "reward", "sfc", "packets"],
+              ([row["step"], _fmt(row["reward"]), row["sfc"],
+                _fmt(row["packets"]) if row["packets"] != "" else ""]
+               for row in log.env0_steps),
+              _comments(cfg))
+    write_csv(out_dir / "training_episodes.csv",
+              ["env", "global_step", "length", "total_reward", "total_lost",
+               "sfc_steps"],
+              ([e.env_index, e.global_step, e.length, _fmt(e.total_reward),
+                _fmt(e.total_lost), e.sfc_steps] for e in log.episodes),
+              _comments(cfg))
     return checkpoint
 
 
@@ -211,22 +206,22 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path, policy_spec: str,
         ])
     label = Path(policy_spec).stem if policy_spec not in policies.BASELINE_NAMES \
         else policy_spec
-    _write_csv(out_dir / f"eval_steps_{label}.csv",
-               ["step", "reward_mean", "reward_std", "cum_reward_mean",
-                "cum_reward_std", "lost_mean", "lost_std", "cum_lost_mean",
-                "cum_lost_std", "sfc_mean", "energy_mean", "energy_std"],
-               rows, _comments(cfg))
+    write_csv(out_dir / f"eval_steps_{label}.csv",
+              ["step", "reward_mean", "reward_std", "cum_reward_mean",
+               "cum_reward_std", "lost_mean", "lost_std", "cum_lost_mean",
+               "cum_lost_std", "sfc_mean", "energy_mean", "energy_std"],
+              rows, _comments(cfg))
 
     write_step_records(result.step_records,
                        out_dir / f"eval_run0_steps_{label}.csv", _comments(cfg))
 
     summary = result.summary()
-    _write_csv(out_dir / f"eval_summary_{label}.csv",
-               ["policy", "n_runs", "total_lost_packets", "mean_reward",
-                "mean_energy_w", "sfc_uptime_fraction"],
-               [[label, result.n_runs, _fmt(summary["total_lost_packets"]),
-                 _fmt(summary["mean_reward"]), _fmt(summary["mean_energy_w"]),
-                 _fmt(summary["sfc_uptime_fraction"])]],
-               _comments(cfg))
+    write_csv(out_dir / f"eval_summary_{label}.csv",
+              ["policy", "n_runs", "total_lost_packets", "mean_reward",
+               "mean_energy_w", "sfc_uptime_fraction"],
+              [[label, result.n_runs, _fmt(summary["total_lost_packets"]),
+                _fmt(summary["mean_reward"]), _fmt(summary["mean_energy_w"]),
+                _fmt(summary["sfc_uptime_fraction"])]],
+              _comments(cfg))
     logger.info("eval %s over %d runs: %s", label, n_runs, summary)
     return summary

@@ -27,6 +27,11 @@ def orthogonal(rng: np.random.Generator, rows: int, cols: int,
     return np.ascontiguousarray(gain * q[:rows, :cols])
 
 
+def clipped_zscore(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Standardize by running mean/variance and clip to [-10, 10]."""
+    return np.clip((x - mean) / np.sqrt(var + 1e-8), -10.0, 10.0)
+
+
 def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -129,8 +134,7 @@ class PolicyNetwork:
         """Apply the attached running statistics, if any (clipped z-score)."""
         if self.obs_stats is None:
             return obs
-        mean, var = self.obs_stats
-        return np.clip((obs - mean) / np.sqrt(var + 1e-8), -10.0, 10.0)
+        return clipped_zscore(obs, *self.obs_stats)
 
     def n_params(self) -> int:
         return sum(v.size for v in self.params.values())

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .policy import PolicyNetwork
+from .policy import PolicyNetwork, clipped_zscore
 from .seeding import derive_seed, entity_rng
 
 logger = logging.getLogger(__name__)
@@ -78,8 +78,7 @@ class RunningObsStats:
         self.count = total
 
     def normalize(self, batch: np.ndarray) -> np.ndarray:
-        return np.clip((batch - self.mean) / np.sqrt(self.var + 1e-8),
-                       -10.0, 10.0)
+        return clipped_zscore(batch, self.mean, self.var)
 
 
 class ReturnNormalizer:

@@ -16,11 +16,6 @@ def derive_seed(master_seed: int, component: str, index: int = 0) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def derive_rng(master_seed: int, component: str, index: int = 0) -> np.random.Generator:
-    """Independent numpy Generator for one component of an experiment."""
-    return np.random.default_rng(derive_seed(master_seed, component, index))
-
-
 def entity_rng(seed: int, *tags: int) -> np.random.Generator:
     """Per-entity RNG stream (e.g. one per server or VNF instance).
 

@@ -12,13 +12,13 @@ stream, so the timing of management actions never perturbs the failure
 times of unrelated entities.
 """
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv
 from .seeding import entity_rng
 
 VNF_TYPES = ("SGW", "PGW", "MME", "HSS")
@@ -286,15 +286,23 @@ class SimState:
                      vnf_type: int) -> ActionOutcome:
         """Apply one management action; invalid targets become rejections.
 
-        Action types: 1 create, 2 delete, 3 restart, 4 no-op. Rejections
-        (full/down server, no matching instance) leave the state unchanged.
+        Action types: 1 create, 2 delete, 3 restart, 4 no-op. A component
+        outside the topology raises ValueError naming it, no-ops included.
+        Rejections (full/down server, no matching instance) leave the state
+        unchanged.
         """
+        topo = self.topology
+        if a not in (1, 2, 3, 4):
+            raise ValueError(f"action type must be in 1..4, got {a}")
+        if not 0 <= dc < topo.n_dcs:
+            raise ValueError(f"dc index must be in 0..{topo.n_dcs - 1}, got {dc}")
+        if not 0 <= server_id < topo.servers_per_dc:
+            raise ValueError(
+                f"server index must be in 0..{topo.servers_per_dc - 1}, got {server_id}")
+        if not 0 <= vnf_type < N_VNF_TYPES:
+            raise ValueError(f"vnf type must be in 0..{N_VNF_TYPES - 1}, got {vnf_type}")
         if a == 4:
             return ActionOutcome(True, "noop")
-        if not (0 <= dc < self.topology.n_dcs
-                and 0 <= server_id < self.topology.servers_per_dc
-                and 0 <= vnf_type < N_VNF_TYPES and a in (1, 2, 3)):
-            raise ValueError(f"action out of range: ({a},{dc},{server_id},{vnf_type})")
         server = self.servers[dc][server_id]
         if not server.up:
             return ActionOutcome(False, "server_down")
@@ -394,22 +402,13 @@ class SimState:
         return float(sum(per_dc)), per_dc
 
 
-def init_topology(topology: Topology, failure: FailureModel,
-                  t0: float = 0.0, seed: int | None = None) -> SimState:
-    """Fresh simulation: all servers up, no VNFs, one failure scheduled each."""
-    return SimState(topology, failure, t0, seed)
-
-
 def write_event_log(events: list[SimEvent], path,
                     comments: list[str] | None = None) -> None:
     """Audit/replay export of processed events."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["time_hours", "kind", "dc", "server",
-                         "instance_id", "vnf_type"])
-        for ev in events:
-            writer.writerow([repr(ev.time), ev.kind, ev.dc_id, ev.server_id,
-                             "" if ev.instance_id is None else ev.instance_id,
-                             "" if ev.vnf_type is None else VNF_TYPES[ev.vnf_type]])
+    write_csv(path, ["time_hours", "kind", "dc", "server", "instance_id",
+                     "vnf_type"],
+              ([repr(ev.time), ev.kind, ev.dc_id, ev.server_id,
+                "" if ev.instance_id is None else ev.instance_id,
+                "" if ev.vnf_type is None else VNF_TYPES[ev.vnf_type]]
+               for ev in events),
+              comments)

@@ -5,12 +5,13 @@ fixed-duration steps (default 300 s). Traces come either from a CDR-style
 tab-separated file or from the synthetic diurnal generator.
 """
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .artifacts import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -243,15 +244,12 @@ def generate_synthetic_trace(n_cells: int, n_steps: int, seed: int,
 
 def write_trace_csv(trace: SteppedTrace, path, comments: list[str] | None = None) -> None:
     """Export a trace as CSV with a metadata comment line for round-trips."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        fh.write(f"# origin_time_ms={trace.origin_time_ms} "
-                 f"step_duration_s={trace.step_duration}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step_index"] + [f"cell_{c}" for c in trace.cell_ids])
-        for i in range(trace.n_steps):
-            writer.writerow([i] + [repr(float(v)) for v in trace.steps[i]])
+    meta = (f"origin_time_ms={trace.origin_time_ms} "
+            f"step_duration_s={trace.step_duration}")
+    write_csv(path, ["step_index"] + [f"cell_{c}" for c in trace.cell_ids],
+              ([i] + [repr(float(v)) for v in trace.steps[i]]
+               for i in range(trace.n_steps)),
+              [*(comments or ()), meta])
 
 
 def read_trace_csv(path) -> SteppedTrace:

@@ -14,8 +14,8 @@ from sfcsim.env import ActionTuple, EnvConfig, SfcEnv
 from sfcsim.policies import PpoPolicy, RandomPolicy, NoopPolicy, evaluate_policy
 from sfcsim.policy import PolicyNetwork
 from sfcsim.ppo import PpoConfig, compute_gae, ppo_loss, train
-from sfcsim.simcore import (EnergyModel, FailureModel, Topology, VNF_REPAIR,
-                            init_topology)
+from sfcsim.simcore import (EnergyModel, FailureModel, SimState, Topology,
+                            VNF_REPAIR)
 from sfcsim.trace import SteppedTrace
 
 from test_clustering import adjusted_rand_index, blob_profiles
@@ -79,7 +79,7 @@ def test_criterion_2_availability_oracle():
     started = time.time()
     # VNF availability: 24/24.033 over 10,000 hours (server failures off)
     failure = FailureModel(mttf_server=1e15)
-    state = init_topology(Topology(n_dcs=1, servers_per_dc=1), failure, seed=7)
+    state = SimState(Topology(n_dcs=1, servers_per_dc=1), failure, seed=7)
     state.apply_action(1, 0, 0, 0)
     horizon = 10_000.0
     events = state.advance_to(horizon)
@@ -98,8 +98,8 @@ def test_criterion_2_availability_oracle():
     vnf_ok = abs(vnf_avail - vnf_expected) <= 0.002
 
     # server availability: 8760/8761.667 over 500,000 server-hours
-    state = init_topology(Topology(n_dcs=10, servers_per_dc=5), FailureModel(),
-                          seed=11)
+    state = SimState(Topology(n_dcs=10, servers_per_dc=5), FailureModel(),
+                     seed=11)
     per_server_h = 10_000.0
     events = state.advance_to(per_server_h)
     down_time = 0.0
@@ -126,8 +126,8 @@ def test_criterion_2_availability_oracle():
 # ---------------------------------------------------------------- criterion 3
 
 def test_criterion_3_energy_arithmetic():
-    state = init_topology(Topology(), FailureModel(mttf_server=1e15,
-                                                   mttf_vnf=1e15))
+    state = SimState(Topology(), FailureModel(mttf_server=1e15,
+                                              mttf_vnf=1e15))
     model = EnergyModel()
     zero_total, _ = state.energy_consumption(model)
     state.apply_action(1, 0, 0, 0)
@@ -200,6 +200,7 @@ def test_criterion_4_gae_and_gradients():
 
 # ---------------------------------------------------------------- criterion 5
 
+@pytest.mark.slow
 def test_criterion_5_ppo_toy_corridor():
     """>= 4 of 5 seeds reach >= 95% of the optimal corridor return in 50k steps."""
     started = time.time()
@@ -222,6 +223,7 @@ def test_criterion_5_ppo_toy_corridor():
 # One agent is trained on the reference scenario per session (conftest) and
 # shared by the three trained-agent criteria.
 
+@pytest.mark.slow
 def test_criterion_6_trained_agent_result_shape(reference_agent):
     """Trained agent reproduces the headline result shapes on the test split:
     (a) complete chain within 150 steps in >=8/10 rollouts, (b) mean per-step
@@ -251,6 +253,7 @@ def test_criterion_6_trained_agent_result_shape(reference_agent):
            f"late={late_slope:.3f})")
 
 
+@pytest.mark.slow
 def test_criterion_7_baseline_dominance(reference_agent):
     """Trained lost packets <= 50% of random's and <= 5% of no-op's."""
     cfg, net, test_env, result = reference_agent
@@ -269,6 +272,7 @@ def test_criterion_7_baseline_dominance(reference_agent):
            f"noop={noop_lost:.0f} (ratio {trained_lost / noop_lost:.4f} <= 0.05)")
 
 
+@pytest.mark.slow
 def test_criterion_8_evaluation_determinism(reference_agent, tmp_path):
     """Repeating the criterion-6 evaluation yields byte-identical CSVs."""
     cfg, net, test_env, result = reference_agent

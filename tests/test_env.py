@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sfcsim.env import (ActionTuple, EnvConfig, SfcEnv, validate_action)
-from sfcsim.simcore import EnergyModel, FailureModel, Topology
+from sfcsim.env import ActionTuple, EnvConfig, SfcEnv, write_step_records
+from sfcsim.simcore import EnergyModel, FailureModel, SimState, Topology
 from sfcsim.trace import SteppedTrace, generate_synthetic_trace
 
 NOOP = ActionTuple(4, 0, 0, 0)
@@ -151,8 +151,11 @@ def test_deleting_last_instance_of_a_type_breaks_sfc():
 # ------------------------------------------------------------------- actions
 
 def test_validate_action_accepts_reference_create():
-    action = validate_action((1, 0, 0, 0), Topology())
-    assert action == ActionTuple(1, 0, 0, 0)
+    env = make_env()
+    env.reset(seed=0)
+    env.step(ActionTuple(1, 0, 0, 0))
+    assert env.step_records[-1].accepted
+    assert SimState(Topology(), FailureModel()).apply_action(1, 0, 0, 0).accepted
 
 
 @pytest.mark.parametrize("raw,message", [
@@ -160,10 +163,17 @@ def test_validate_action_accepts_reference_create():
     ((1, 10, 0, 0), "dc index"),
     ((1, 0, 5, 0), "server index"),
     ((1, 0, 0, 4), "vnf type"),
+    ((4, 10, 0, 0), "dc index"),  # a no-op's indices are checked too
 ])
 def test_validate_action_names_offending_component(raw, message):
+    # SimState.apply_action holds the only range check; SfcEnv.step relies on it.
+    env = make_env()
+    env.reset(seed=0)
     with pytest.raises(ValueError, match=message):
-        validate_action(raw, Topology())
+        env.step(ActionTuple(*raw))
+    assert env.step_records == []
+    with pytest.raises(ValueError, match=message):
+        SimState(Topology(), FailureModel()).apply_action(*raw)
 
 
 def test_one_action_per_step_is_atomic():
@@ -256,7 +266,7 @@ def test_step_trace_export_schema(tmp_path):
     while not done:
         _, _, done, _ = env.step(ActionTuple(1, 0, 0, 0))
     path = tmp_path / "steps.csv"
-    env.write_step_trace_csv(path, comments=["config_hash=x seed=0"])
+    write_step_records(env.step_records, path, comments=["config_hash=x seed=0"])
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == ("step,a,dc,server,vnf_type,accepted,sfc,packets,lost,"

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 import yaml
 
@@ -176,6 +179,21 @@ def test_train_eval_cycle(tmp_path):
     header = [l for l in updates_csv.read_text().splitlines()
               if not l.startswith("#")][0]
     assert header == "update,loss,policy_loss,value_loss,entropy,clip_fraction,kl"
+
+
+def test_train_and_eval_stamp_the_same_config_hash(tmp_path):
+    cfg = tiny_config()
+    expected = config_hash(tiny_config())
+    checkpoint = cmd_train(cfg, tmp_path)
+    cmd_eval(cfg, tmp_path, str(checkpoint), quick=True)
+    assert config_hash(cfg) == expected  # training left the config untouched
+    for name in ("training_updates.csv", "training_steps.csv",
+                 "training_episodes.csv", "eval_steps_checkpoint.csv",
+                 "eval_run0_steps_checkpoint.csv", "eval_summary_checkpoint.csv"):
+        first = (tmp_path / name).read_text().splitlines()[0]
+        assert first == f"# config_hash={expected} seed=5", name
+    meta = json.loads(str(np.load(checkpoint)["__meta__"]))
+    assert meta["config_hash"] == expected
 
 
 def test_eval_baselines_and_determinism(tmp_path):

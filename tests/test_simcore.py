@@ -4,33 +4,33 @@ import numpy as np
 import pytest
 
 from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
-                            Topology, VNF_FAIL, VNF_REPAIR, init_topology,
+                            SimState, Topology, VNF_FAIL, VNF_REPAIR,
                             sample_exponential, vnf_fail_risk)
 
 
 def small_state(seed=0, **failure_kwargs):
     topo = Topology(n_dcs=2, servers_per_dc=2)
     failure = FailureModel(rng_seed=seed, **failure_kwargs)
-    return init_topology(topo, failure)
+    return SimState(topo, failure)
 
 
 # ------------------------------------------------------------------ topology
 
 def test_reference_init_schedules_one_failure_per_server():
-    state = init_topology(Topology(), FailureModel())
+    state = SimState(Topology(), FailureModel())
     assert len(state._heap) == 50
     assert all(kind == SERVER_FAIL for _, _, kind, *_ in state._heap)
     assert sum(1 for _ in state.instances()) == 0
 
 
 def test_single_server_init():
-    state = init_topology(Topology(n_dcs=1, servers_per_dc=1), FailureModel())
+    state = SimState(Topology(n_dcs=1, servers_per_dc=1), FailureModel())
     assert len(state._heap) == 1
 
 
 def test_init_is_seed_deterministic():
-    s1 = init_topology(Topology(), FailureModel(), seed=42)
-    s2 = init_topology(Topology(), FailureModel(), seed=42)
+    s1 = SimState(Topology(), FailureModel(), seed=42)
+    s2 = SimState(Topology(), FailureModel(), seed=42)
     assert sorted(e[0] for e in s1._heap) == sorted(e[0] for e in s2._heap)
 
 
@@ -110,7 +110,7 @@ def test_delete_targets_highest_risk_instance():
     # Action {2,1,2,3} must delete the type-3 instance with the highest
     # fail risk in server 2 of DC 1.
     topo = Topology(n_dcs=2, servers_per_dc=3, max_same_type_per_server=3)
-    state = init_topology(topo, FailureModel())
+    state = SimState(topo, FailureModel())
     # three type-3 instances created at hours 0, 13, 22 -> ages 23, 10, 1
     state.apply_action(1, 1, 2, 3)
     oldest = state.servers[1][2].vnfs[0].instance_id
@@ -420,7 +420,7 @@ def test_event_log_export_schema(tmp_path):
 def test_availability_matches_renewal_theory_smoke():
     # Short check of the availability oracle; acceptance runs the full one.
     failure = FailureModel(mttf_vnf=2.0, mttr_vnf=0.5, mttf_server=1e12)
-    state = init_topology(Topology(n_dcs=1, servers_per_dc=1), failure, seed=3)
+    state = SimState(Topology(n_dcs=1, servers_per_dc=1), failure, seed=3)
     state.apply_action(1, 0, 0, 0)
     horizon = 4000.0
     events = state.advance_to(horizon)
