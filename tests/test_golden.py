@@ -1,0 +1,81 @@
+"""Golden trajectories: sha256 digests of seeded runs, pinned byte for byte.
+
+A small topology with frequent VNF and server failures drives every
+transition of the simulator (create, delete, restart, VNF fail/repair,
+server fail/repair with suspended instances). Any change to the simulator's
+state handling that moves a single event, step record or float shows up
+here as a different digest. The energy digests use ``repr``, so replacing
+the sequential per-DC sum with ``n * watts`` fails them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from sfcsim.env import EnvConfig, SfcEnv, write_step_records
+from sfcsim.policies import make_baseline, evaluate_policy
+from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SimState,
+                            Topology, write_event_log)
+from sfcsim.trace import generate_synthetic_trace
+
+TOPOLOGY = Topology(n_dcs=3, servers_per_dc=3, max_vnfs_per_server=4,
+                    max_same_type_per_server=2)
+FAILURE = FailureModel(mttf_server=4.0, mttr_server=0.8, mttf_vnf=0.6,
+                       mttr_vnf=0.15)
+
+GOLDEN = {
+    "random": {
+        "step_records": "9f55e8573c815aed5fa659d6fa396cbf504a6d3e06ed84bbc853fb0b3928a86b",
+        "arrays": "8c38adf9ce33ccc488238fe0d602b4fd9a28849ba3123476a516d8dfb21c4b58",
+        "energy_w": "abf8b75d13a0411b7789d330419dd5e2914f72b6bc6040fae962a3dffaec5276",
+    },
+    "static_greedy": {
+        "step_records": "7a2f5a01920499383ab719fa458a7e2664bcfc7ce575d357b9ffcd2b293fb965",
+        "arrays": "aabba43071b2c8a6b266059a3e1162c2cc54852ae94029a179b8f1273b9e1468",
+        "energy_w": "59c5f707f3362a73a6ad42b9d71dacdd658f908d5a6884c3bd20e239e565bc14",
+    },
+    "event_log": "5f598d78cd745d98e1bbf1b0cdf613570870fb756dfd170eb8e03123b201ea9e",
+    "walk_energy": "4543750ec1864d662bea5f4b41e04ab06fe119e23dc1873fe289d00810fb2b48",
+}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_env() -> SfcEnv:
+    trace = generate_synthetic_trace(6, 240, seed=7)
+    return SfcEnv(trace, TOPOLOGY, FAILURE, EnergyModel(), EnvConfig())
+
+
+@pytest.mark.parametrize("name", ["random", "static_greedy"])
+def test_evaluation_trajectory_is_pinned(name, tmp_path):
+    env = golden_env()
+    result = evaluate_policy(make_baseline(name, env, seed=3), env, 2,
+                             seeds=[11, 12])
+    path = tmp_path / "steps.csv"
+    write_step_records(result.step_records, path, comments=["golden"])
+    arrays = b"".join(a.tobytes() for a in (result.rewards, result.lost,
+                                            result.sfc, result.energy))
+    energy = "\n".join(repr(float(w)) for w in result.energy.ravel())
+    assert {"step_records": sha(path.read_bytes()), "arrays": sha(arrays),
+            "energy_w": sha(energy.encode())} == GOLDEN[name]
+
+
+def test_random_walk_event_log_is_pinned(tmp_path):
+    state = SimState(TOPOLOGY, FAILURE, seed=21)
+    rng = np.random.default_rng(22)
+    events, energy = [], []
+    for _ in range(600):
+        state.apply_action(int(rng.integers(1, 5)),
+                           int(rng.integers(TOPOLOGY.n_dcs)),
+                           int(rng.integers(TOPOLOGY.servers_per_dc)),
+                           int(rng.integers(N_VNF_TYPES)))
+        events.extend(state.advance_to(state.time + 0.25))
+        total, per_dc = state.energy_consumption(EnergyModel())
+        energy.append(repr(total) + " " + " ".join(map(repr, per_dc)))
+    path = tmp_path / "events.csv"
+    write_event_log(events, path, comments=["golden"])
+    assert sha(path.read_bytes()) == GOLDEN["event_log"]
+    assert sha("\n".join(energy).encode()) == GOLDEN["walk_energy"]
