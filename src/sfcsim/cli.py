@@ -65,9 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "cluster":
             cmd_cluster(cfg, out_dir)
         elif args.command == "train":
-            if args.quick and cfg.ppo.total_steps > 20_000:
-                cfg.ppo.total_steps = 20_000
-            cmd_train(cfg, out_dir)
+            cmd_train(cfg, out_dir, quick=args.quick)
         elif args.command == "eval":
             cmd_eval(cfg, out_dir, args.policy, quick=args.quick)
     except ConfigError as exc:

@@ -205,7 +205,7 @@ class SfcEnv:
     def encode_observation(self) -> Observation:
         """Current activities plus allocated-VNF counts, optionally normalized."""
         row = min(self._row, self.trace.n_steps - 1)
-        activities = self.trace.steps[row].astype(float).copy()
+        activities = self.trace.steps[row].astype(float)
         counts = self.sim.vnf_counts().reshape(-1).astype(float)
         if self.config.normalize_obs:
             scale = self.config.activity_scale

@@ -19,6 +19,8 @@ from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
+QUICK_TRAIN_STEPS = 20_000  # cap on ppo.total_steps under ``train --quick``
+
 
 def _comments(cfg: ExperimentConfig) -> list[str]:
     return [f"config_hash={config_hash(cfg)} seed={cfg.master_seed}"]
@@ -132,7 +134,7 @@ def cmd_cluster(cfg: ExperimentConfig, out_dir: Path) -> dict:
     return {"k": k, "sse": model.sse, "suggested_k": suggestion, "sizes": sizes}
 
 
-def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> Path:
+def cmd_train(cfg: ExperimentConfig, out_dir: Path, quick: bool = False) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_env, _ = build_envs(cfg)
 
@@ -140,9 +142,14 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> Path:
         return SfcEnv(train_env.trace, cfg.topology, cfg.failure, cfg.energy,
                       train_env.config)
 
-    # Derive the agent seed into a copy: cfg itself stays as loaded, so the
-    # artifacts of train and eval of one config stamp the same hash.
-    ppo_cfg = dataclasses.replace(cfg.ppo, seed=derive_seed(cfg.master_seed, "ppo"))
+    # Derive the agent seed and the quick step cap into a copy: cfg itself
+    # stays as loaded, so the artifacts of train and eval of one config
+    # stamp the same hash, quick or not.
+    total_steps = cfg.ppo.total_steps
+    if quick:
+        total_steps = min(total_steps, QUICK_TRAIN_STEPS)
+    ppo_cfg = dataclasses.replace(cfg.ppo, seed=derive_seed(cfg.master_seed, "ppo"),
+                                  total_steps=total_steps)
     started = time.time()
     net, log = ppo.train(env_factory, ppo_cfg)
     elapsed = time.time() - started

@@ -76,19 +76,19 @@ class StaticGreedyPolicy:
 
     @staticmethod
     def _least_loaded(sim, vnf_type: int):
-        best = None
-        for row in sim.servers:
-            for server in row:
-                if not server.up:
-                    continue
-                if len(server.vnfs) >= sim.topology.max_vnfs_per_server:
-                    continue
-                if server.type_count(vnf_type) >= sim.topology.max_same_type_per_server:
-                    continue
-                load = len(server.vnfs)
-                if best is None or load < best[0]:
-                    best = (load, server.dc_id, server.server_id)
-        return None if best is None else (best[1], best[2])
+        """First up server, in (dc, server) order, with the fewest instances
+        among those with room for one more of ``vnf_type``."""
+        topo = sim.topology
+        alloc = sim.alloc
+        load = alloc.sum(axis=2)
+        up = np.array([[server.up for server in row] for row in sim.servers])
+        room = (up & (load < topo.max_vnfs_per_server)
+                & (alloc[:, :, vnf_type] < topo.max_same_type_per_server))
+        if not room.any():
+            return None
+        best = np.argmin(np.where(room, load, topo.max_vnfs_per_server))
+        dc, server = np.unravel_index(best, load.shape)
+        return int(dc), int(server)
 
 
 class PpoPolicy:

@@ -12,9 +12,11 @@ stream, so the timing of management actions never perturbs the failure
 times of unrelated entities.
 """
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -87,6 +89,10 @@ class EnergyModel:
 
 @dataclass
 class VnfInstance:
+    # Every instance draws the same power; ``_energy_table`` relies on it.
+    cpu_units: ClassVar[int] = 1
+    mem_units: ClassVar[int] = 1
+
     instance_id: int
     vnf_type: int  # index into VNF_TYPES
     up: bool = True
@@ -96,8 +102,6 @@ class VnfInstance:
     age_anchor: float = 0.0
     scheduled_failure_at: float | None = None
     scheduled_repair_at: float | None = None
-    cpu_units: int = 1
-    mem_units: int = 1
     # (kind, remaining hours) while the host server is down
     suspended: tuple[str, float] | None = None
     event_token: int = 0
@@ -112,6 +116,7 @@ class ServerState:
     vnfs: list[VnfInstance] = field(default_factory=list)
     next_event_time: float = math.inf
     down_since: float | None = None
+    event_token: int = 0
     rng: np.random.Generator = field(default=None, repr=False)
 
     def type_count(self, vnf_type: int) -> int:
@@ -159,8 +164,32 @@ def vnf_fail_risk(instance: VnfInstance, now: float, mttf_vnf: float) -> float:
     return 1.0 - math.exp(-age / mttf_vnf)
 
 
+@functools.lru_cache(maxsize=None)
+def _energy_table(model: EnergyModel, n_max: int) -> tuple[float, ...]:
+    """Watts drawn by n allocated instances of one DC, for n = 0..n_max.
+
+    Entry n adds one instance's watts n times in a row, as a loop over the
+    instances does; ``n * watts`` rounds differently once n >= 6.
+    """
+    watts = (VnfInstance.cpu_units * model.cpu_watts
+             + VnfInstance.mem_units * model.mem_watts)
+    table = [0.0]
+    for _ in range(n_max):
+        table.append(table[-1] + watts)
+    return tuple(table)
+
+
 class SimState:
-    """Mutable simulation state: servers, instances, and the event queue."""
+    """Mutable simulation state: servers, instances, and the event queue.
+
+    Aggregates kept up to date by the six transitions (create, delete,
+    restart, VNF fail/repair, server fail/repair), so no query scans the
+    instances: ``_alloc[dc, server, type]`` counts allocated instances, up
+    or down (``alloc`` is a read-only view of it); ``_dc_alloc`` sums it per
+    DC; ``_up_counts[type]`` counts up instances on up servers;
+    ``_instances`` maps instance id to instance. Writing an ``up`` field
+    from outside bypasses them and is unsupported.
+    """
 
     def __init__(self, topology: Topology, failure: FailureModel,
                  t0: float = 0.0, seed: int | None = None):
@@ -171,6 +200,13 @@ class SimState:
         self._seq = 0
         self._next_instance_id = 0
         self._heap: list[tuple] = []
+        self._alloc = np.zeros(
+            (topology.n_dcs, topology.servers_per_dc, N_VNF_TYPES), dtype=int)
+        self.alloc = self._alloc.view()
+        self.alloc.flags.writeable = False
+        self._dc_alloc = [0] * topology.n_dcs
+        self._up_counts = [0] * N_VNF_TYPES
+        self._instances: dict[int, VnfInstance] = {}
         self.servers = [
             [ServerState(d, s, rng=entity_rng(self.seed, _STREAM_SERVER, d, s))
              for s in range(topology.servers_per_dc)]
@@ -185,7 +221,7 @@ class SimState:
     def _push(self, time: float, kind: str, server: ServerState,
               instance: VnfInstance | None = None) -> None:
         self._seq += 1
-        token = instance.event_token if instance is not None else 0
+        token = (instance or server).event_token
         iid = instance.instance_id if instance is not None else None
         heapq.heappush(self._heap, (time, self._seq, kind, server.dc_id,
                                     server.server_id, iid, token))
@@ -212,12 +248,6 @@ class SimState:
         inst.scheduled_failure_at = None
         self._push(t, VNF_REPAIR, server, inst)
 
-    def _find_instance(self, server: ServerState, instance_id: int) -> VnfInstance | None:
-        for inst in server.vnfs:
-            if inst.instance_id == instance_id:
-                return inst
-        return None
-
     def advance_to(self, t: float) -> list[SimEvent]:
         """Process all pending events up to time t, in (time, seq) order."""
         if t < self.time:
@@ -227,11 +257,13 @@ class SimState:
             time, seq, kind, dc, sid, iid, token = heapq.heappop(self._heap)
             server = self.servers[dc][sid]
             self.time = time
-            if kind in (SERVER_FAIL, SERVER_REPAIR):
+            if iid is None:
+                if server.event_token != token:
+                    continue  # superseded: another event of this server came first
                 self._process_server_event(kind, server)
                 processed.append(SimEvent(time, seq, kind, dc, sid))
             else:
-                inst = self._find_instance(server, iid)
+                inst = self._instances.get(iid)
                 if inst is None or inst.event_token != token or inst.suspended is not None:
                     continue  # cancelled or suspended event
                 self._process_vnf_event(kind, server, inst)
@@ -241,12 +273,15 @@ class SimState:
         return processed
 
     def _process_server_event(self, kind: str, server: ServerState) -> None:
+        server.event_token += 1
         if kind == SERVER_FAIL:
             server.up = False
             server.down_since = self.time
             # Freeze hosted instances: their state is kept and restored on
             # repair, so pending events and ages are suspended, not lost.
             for inst in server.vnfs:
+                if inst.up:
+                    self._up_counts[inst.vnf_type] -= 1
                 pending = (inst.scheduled_failure_at if inst.up
                            else inst.scheduled_repair_at)
                 remaining = max(0.0, pending - self.time)
@@ -258,6 +293,8 @@ class SimState:
             downtime = self.time - (server.down_since or self.time)
             server.down_since = None
             for inst in server.vnfs:
+                if inst.up:
+                    self._up_counts[inst.vnf_type] += 1
                 inst.age_anchor += downtime
                 kind_s, remaining = inst.suspended
                 inst.suspended = None
@@ -274,9 +311,11 @@ class SimState:
                            inst: VnfInstance) -> None:
         if kind == VNF_FAIL:
             inst.up = False
+            self._up_counts[inst.vnf_type] -= 1
             self._schedule_vnf_repair(server, inst)
         else:
             inst.up = True
+            self._up_counts[inst.vnf_type] += 1
             inst.age_anchor = self.time
             self._schedule_vnf_failure(server, inst)
 
@@ -315,7 +354,8 @@ class SimState:
     def _create(self, server: ServerState, vnf_type: int) -> ActionOutcome:
         if len(server.vnfs) >= self.topology.max_vnfs_per_server:
             return ActionOutcome(False, "server_full")
-        if server.type_count(vnf_type) >= self.topology.max_same_type_per_server:
+        dc, sid = server.dc_id, server.server_id
+        if self._alloc[dc, sid, vnf_type] >= self.topology.max_same_type_per_server:
             return ActionOutcome(False, "type_cap")
         inst = VnfInstance(
             instance_id=self._next_instance_id, vnf_type=vnf_type,
@@ -323,6 +363,10 @@ class SimState:
             rng=entity_rng(self.seed, _STREAM_VNF, self._next_instance_id))
         self._next_instance_id += 1
         server.vnfs.append(inst)
+        self._instances[inst.instance_id] = inst
+        self._alloc[dc, sid, vnf_type] += 1
+        self._dc_alloc[dc] += 1
+        self._up_counts[vnf_type] += 1
         self._schedule_vnf_failure(server, inst)
         return ActionOutcome(True, "created", inst.instance_id)
 
@@ -340,6 +384,11 @@ class SimState:
                      key=lambda v: (self._targeting_risk(v), -v.instance_id))
         target.event_token += 1  # cancel any pending event
         server.vnfs.remove(target)
+        del self._instances[target.instance_id]
+        self._alloc[server.dc_id, server.server_id, vnf_type] -= 1
+        self._dc_alloc[server.dc_id] -= 1
+        if target.up:
+            self._up_counts[vnf_type] -= 1
         return ActionOutcome(True, "deleted", target.instance_id)
 
     def _restart(self, server: ServerState, vnf_type: int) -> ActionOutcome:
@@ -356,6 +405,7 @@ class SimState:
     # --------------------------------------------------------------- queries
 
     def instances(self):
+        """Walk every (server, instance) pair; the raw state, not the aggregates."""
         for row in self.servers:
             for server in row:
                 for inst in server.vnfs:
@@ -363,27 +413,15 @@ class SimState:
 
     def sfc_complete(self) -> bool:
         """True iff every VNF type has an up instance on an up server."""
-        seen = [False] * N_VNF_TYPES
-        for server, inst in self.instances():
-            if server.up and inst.up:
-                seen[inst.vnf_type] = True
-        return all(seen)
+        return min(self._up_counts) > 0
 
     def operational_type_counts(self) -> list[int]:
-        counts = [0] * N_VNF_TYPES
-        for server, inst in self.instances():
-            if server.up and inst.up:
-                counts[inst.vnf_type] += 1
-        return counts
+        """Up instances on up servers, per VNF type."""
+        return list(self._up_counts)
 
     def vnf_counts(self) -> np.ndarray:
-        """Allocated instances per (dc, server, type), up or not."""
-        counts = np.zeros(
-            (self.topology.n_dcs, self.topology.servers_per_dc, N_VNF_TYPES),
-            dtype=int)
-        for server, inst in self.instances():
-            counts[server.dc_id, server.server_id, inst.vnf_type] += 1
-        return counts
+        """Allocated instances per (dc, server, type), up or not (a copy)."""
+        return self._alloc.copy()
 
     def energy_consumption(self, model: EnergyModel) -> tuple[float, list[float]]:
         """Total watts and per-DC breakdown over all allocated instances.
@@ -391,14 +429,9 @@ class SimState:
         Instances that are down (or on a down server) remain allocated and
         keep drawing power.
         """
-        per_dc = []
-        for row in self.servers:
-            watts = 0.0
-            for server in row:
-                for inst in server.vnfs:
-                    watts += (inst.cpu_units * model.cpu_watts
-                              + inst.mem_units * model.mem_watts)
-            per_dc.append(watts)
+        topo = self.topology
+        table = _energy_table(model, topo.servers_per_dc * topo.max_vnfs_per_server)
+        per_dc = [table[n] for n in self._dc_alloc]
         return float(sum(per_dc)), per_dc
 
 

@@ -114,8 +114,10 @@ def test_reward_decomposition_identity_random_steps():
         assert b.total == pytest.approx(
             b.packet_loss_term + b.energy_term + b.restart_term + b.bonus_term,
             abs=0.0)
-        # independent recomputation from simulator state
-        sfc = 1 if all(c >= 1 for c in env.sim.operational_type_counts()) else 0
+        # independent recomputation from a rescan of the raw simulator state
+        up_types = {inst.vnf_type for server, inst in env.sim.instances()
+                    if server.up and inst.up}
+        sfc = 1 if len(up_types) == 4 else 0
         energy = sum(70.72 for _, _ in env.sim.instances())
         assert b.sfc_status == sfc
         assert b.energy_term == pytest.approx(-0.01 * energy, abs=1e-9)

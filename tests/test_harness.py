@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from sfcsim import harness
 from sfcsim.cli import main as cli_main
 from sfcsim.config import (ConfigError, ExperimentConfig, config_from_dict,
                            config_hash, config_to_dict, load_config,
@@ -193,6 +194,30 @@ def test_train_and_eval_stamp_the_same_config_hash(tmp_path):
         first = (tmp_path / name).read_text().splitlines()[0]
         assert first == f"# config_hash={expected} seed=5", name
     meta = json.loads(str(np.load(checkpoint)["__meta__"]))
+    assert meta["config_hash"] == expected
+
+
+def test_quick_train_and_eval_stamp_the_yaml_hash(tmp_path, monkeypatch):
+    # train --quick caps total_steps in its own copy, so the checkpoint and
+    # every CSV of train --quick and eval --quick carry the YAML's hash.
+    monkeypatch.setattr(harness, "QUICK_TRAIN_STEPS", 128)
+    cfg_path = tmp_path / "exp.yaml"
+    save_config(tiny_config(), cfg_path)
+    expected = config_hash(load_config(cfg_path))
+    out = tmp_path / "out"
+    assert cli_main(["train", "--quick", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    assert cli_main(["eval", "--quick", "--config", str(cfg_path),
+                     "--out", str(out), "--policy",
+                     str(out / "checkpoint.npz")]) == 0
+    updates = (out / "training_updates.csv").read_text().splitlines()
+    assert len(updates) == 3  # comment, header, one 2 x 64-step update
+    for name in ("training_updates.csv", "training_steps.csv",
+                 "training_episodes.csv", "eval_steps_checkpoint.csv",
+                 "eval_run0_steps_checkpoint.csv", "eval_summary_checkpoint.csv"):
+        first = (out / name).read_text().splitlines()[0]
+        assert first == f"# config_hash={expected} seed=5", name
+    meta = json.loads(str(np.load(out / "checkpoint.npz")["__meta__"]))
     assert meta["config_hash"] == expected
 
 

@@ -148,7 +148,9 @@ def test_restart_reschedules_failure_and_resets_risk():
 def test_actions_on_down_server_rejected():
     state = small_state()
     server = state.servers[0][0]
-    server.up = False
+    state._push(0.0, SERVER_FAIL, server)
+    state.advance_to(0.0)
+    assert not server.up
     for a in (1, 2, 3):
         outcome = state.apply_action(a, 0, 0, 0)
         assert not outcome.accepted and outcome.reason == "server_down"
@@ -237,7 +239,10 @@ def test_sfc_incomplete_when_only_host_down():
     for t in range(4):
         state.apply_action(1, 0, 0 if t < 3 else 1, t)
     assert state.sfc_complete()
-    state.servers[0][1].up = False  # the only HSS host
+    host = state.servers[0][1]  # the only HSS host
+    state._push(1.0, SERVER_FAIL, host)
+    state.advance_to(1.0)
+    assert not host.up
     assert not state.sfc_complete()
     counts = state.operational_type_counts()
     assert counts[3] == 0
@@ -293,9 +298,11 @@ def test_energy_four_vnfs_across_two_dcs():
 
 
 def test_down_instances_still_draw_power():
-    state = small_state()
+    state = small_state(mttf_server=1e12)
     state.apply_action(1, 0, 0, 0)
-    state.servers[0][0].vnfs[0].up = False
+    inst = state.servers[0][0].vnfs[0]
+    events = state.advance_to(inst.scheduled_failure_at)
+    assert events[-1].kind == VNF_FAIL and not inst.up
     total, _ = state.energy_consumption(EnergyModel())
     assert total == pytest.approx(70.72)
 
@@ -347,7 +354,7 @@ def test_state_machine_soundness():
         if iid is None:
             live.setdefault(("server", dc, sid), []).append(kind)
         else:
-            inst = state._find_instance(state.servers[dc][sid], iid)
+            inst = state._instances.get(iid)
             if inst is not None and inst.event_token == token:
                 live.setdefault(("vnf", dc, sid, iid), []).append(kind)
     for row in state.servers:

@@ -1,0 +1,75 @@
+"""Property test: SimState's incremental aggregates equal a full rescan.
+
+Hypothesis draws random interleavings of management actions, clock
+advances and forced server failures; after every operation each query is
+recomputed from the raw ``instances()`` walk and compared exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
+                            SimState, Topology)
+
+TOPOLOGY = Topology(n_dcs=2, servers_per_dc=3, max_vnfs_per_server=4,
+                    max_same_type_per_server=2)
+FAILURE = FailureModel(mttf_server=3.0, mttr_server=0.5, mttf_vnf=0.5,
+                       mttr_vnf=0.1)
+MODEL = EnergyModel()
+
+DC = st.integers(0, TOPOLOGY.n_dcs - 1)
+SERVER = st.integers(0, TOPOLOGY.servers_per_dc - 1)
+OPERATION = st.one_of(
+    # creates drawn twice as often, so DCs fill past the 6 instances where
+    # n * watts stops being bit-equal to the sequential sum
+    st.tuples(st.just("act"), st.sampled_from((1, 1, 2, 3, 4)), DC, SERVER,
+              st.integers(0, N_VNF_TYPES - 1)),
+    st.tuples(st.just("advance"), st.floats(0.0, 1.5)),
+    st.tuples(st.just("fail_server"), DC, SERVER, st.floats(0.0, 0.5)),
+)
+
+
+def assert_matches_rescan(state: SimState) -> None:
+    topo = state.topology
+    alloc = np.zeros((topo.n_dcs, topo.servers_per_dc, N_VNF_TYPES), dtype=int)
+    up = [0] * N_VNF_TYPES
+    per_dc = [0.0] * topo.n_dcs
+    for server, inst in state.instances():
+        alloc[server.dc_id, server.server_id, inst.vnf_type] += 1
+        if server.up and inst.up:
+            up[inst.vnf_type] += 1
+        per_dc[server.dc_id] += (inst.cpu_units * MODEL.cpu_watts
+                                 + inst.mem_units * MODEL.mem_watts)
+    counts = state.vnf_counts()
+    assert counts.dtype == alloc.dtype and np.array_equal(counts, alloc)
+    assert np.array_equal(state.alloc, alloc)
+    assert state.operational_type_counts() == up
+    assert state.sfc_complete() == all(c > 0 for c in up)
+    assert state.energy_consumption(MODEL) == (float(sum(per_dc)), per_dc)
+    assert alloc.sum(axis=2).max() <= topo.max_vnfs_per_server
+    assert alloc.max() <= topo.max_same_type_per_server
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), operations=st.lists(OPERATION, max_size=100))
+def test_aggregates_equal_full_rescan(seed, operations):
+    state = SimState(TOPOLOGY, FAILURE, seed=seed)
+    last_time = 0.0
+    for op in operations:
+        if op[0] == "act":
+            state.apply_action(*op[1:])
+        elif op[0] == "advance":
+            for event in state.advance_to(state.time + op[1]):
+                assert event.time >= last_time
+                last_time = event.time
+        else:
+            _, dc, sid, delay = op
+            server = state.servers[dc][sid]
+            if server.up:  # a down server cannot fail again
+                state._push(state.time + delay, SERVER_FAIL, server)
+        assert_matches_rescan(state)
+    state.vnf_counts()[:] += 1  # changes the caller's copy, not the state
+    with pytest.raises(ValueError):
+        state.alloc[0, 0, 0] = 1
+    assert_matches_rescan(state)
