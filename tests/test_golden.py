@@ -5,7 +5,10 @@ transition of the simulator (create, delete, restart, VNF fail/repair,
 server fail/repair with suspended instances). Any change to the simulator's
 state handling that moves a single event, step record or float shows up
 here as a different digest. The energy digests use ``repr``, so replacing
-the sequential per-DC sum with ``n * watts`` fails them.
+the sequential per-DC sum with ``n * watts`` fails them. The training
+digest covers a short seeded PPO run on the same topology: final
+parameters, observation statistics and every logged update, episode and
+env-0 step, so a change anywhere in the rollout or the learner shows up.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from sfcsim import ppo
 from sfcsim.env import EnvConfig, SfcEnv, write_step_records
 from sfcsim.policies import make_baseline, evaluate_policy
 from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SimState,
@@ -37,6 +41,7 @@ GOLDEN = {
     },
     "event_log": "5f598d78cd745d98e1bbf1b0cdf613570870fb756dfd170eb8e03123b201ea9e",
     "walk_energy": "4543750ec1864d662bea5f4b41e04ab06fe119e23dc1873fe289d00810fb2b48",
+    "training": "d7e219ce839bfd1224d2c27b92707896e3e8b1233f62c8b7772ec5ee032c4e72",
 }
 
 
@@ -79,3 +84,19 @@ def test_random_walk_event_log_is_pinned(tmp_path):
     write_event_log(events, path, comments=["golden"])
     assert sha(path.read_bytes()) == GOLDEN["event_log"]
     assert sha("\n".join(energy).encode()) == GOLDEN["walk_energy"]
+
+
+def test_training_run_is_pinned():
+    trace = generate_synthetic_trace(6, 240, seed=7)
+    env_cfg = EnvConfig(episode_length=20, normalize_obs=True,
+                        activity_scale=float(trace.steps.max()))
+    config = ppo.PpoConfig(total_steps=3 * 3 * 32, n_envs=3, rollout_length=32,
+                           minibatches=2, epochs=2, hidden=(8, 8), seed=5,
+                           normalize_rewards=True, normalize_observations=True)
+    policy, log = ppo.train(
+        lambda i: SfcEnv(trace, TOPOLOGY, FAILURE, EnergyModel(), env_cfg), config)
+    assert len(log.updates) == 3 and len(log.episodes) >= 9
+    params = b"".join(policy.params[k].tobytes() for k in sorted(policy.params))
+    stats = b"".join(a.tobytes() for a in policy.obs_stats)
+    logs = "\n".join(map(repr, (log.updates, log.episodes, log.env0_steps)))
+    assert sha(params + stats + logs.encode()) == GOLDEN["training"]
