@@ -9,6 +9,7 @@ drawn by allocated VNFs, a small restart penalty, and a completion bonus:
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +18,7 @@ from .seeding import derive_seed, entity_rng
 from .simcore import EnergyModel, FailureModel, N_VNF_TYPES, SimState, Topology
 
 
-@dataclass(frozen=True)
-class ActionTuple:
+class ActionTuple(NamedTuple):
     """The agent's action: (type, data center, server, VNF type).
 
     ``a`` is 1 create, 2 delete, 3 restart, 4 no-op; the remaining fields
@@ -36,23 +36,33 @@ class ActionTuple:
         return (self.a, self.dc, self.server, self.vnf_type)
 
 
-@dataclass
 class Observation:
-    """Current traffic plus the allocated-VNF inventory.
+    """Current traffic plus the allocated-VNF inventory, as one vector.
 
-    ``vnf_counts`` is flattened in (dc, server, type) order. Values are
-    normalized when the environment is configured to do so.
+    ``cell_activities`` and ``vnf_counts`` (flattened in (dc, server, type)
+    order) are views of that vector, and ``vector()`` returns it without a
+    copy. Values are normalized when the environment is configured to do so.
     """
 
-    cell_activities: np.ndarray
-    vnf_counts: np.ndarray
+    __slots__ = ("_vector", "_n_cells")
+
+    def __init__(self, vector: np.ndarray, n_cells: int):
+        self._vector = vector
+        self._n_cells = n_cells
+
+    @property
+    def cell_activities(self) -> np.ndarray:
+        return self._vector[:self._n_cells]
+
+    @property
+    def vnf_counts(self) -> np.ndarray:
+        return self._vector[self._n_cells:]
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.cell_activities, self.vnf_counts])
+        return self._vector
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     sfc_status: int
     packets: float
     packet_loss_term: float
@@ -138,8 +148,8 @@ class SfcEnv:
 
     def action_from_components(self, components) -> ActionTuple:
         """Map sampled head indices to an action (head 0 is 0-based)."""
-        s0, s1, s2, s3 = (int(c) for c in components)
-        return ActionTuple(s0 + 1, s1, s2, s3)
+        s0, s1, s2, s3 = components
+        return ActionTuple(int(s0) + 1, int(s1), int(s2), int(s3))
 
     def episode_steps(self) -> int:
         if self.config.episode_length is None:
@@ -204,15 +214,19 @@ class SfcEnv:
 
     def encode_observation(self) -> Observation:
         """Current activities plus allocated-VNF counts, optionally normalized."""
-        row = min(self._row, self.trace.n_steps - 1)
-        activities = self.trace.steps[row].astype(float)
-        counts = self.sim.vnf_counts().reshape(-1).astype(float)
+        steps = self.trace.steps
+        n_cells = steps.shape[1]
+        activities = steps[min(self._row, steps.shape[0] - 1)]
+        counts = self.sim.vnf_counts().reshape(-1)
+        vector = np.empty(n_cells + counts.size)
         if self.config.normalize_obs:
             scale = self.config.activity_scale
-            if scale:
-                activities /= scale
-            counts /= self.topology.max_vnfs_per_server
-        return Observation(activities, counts)
+            np.divide(activities, scale or 1, out=vector[:n_cells])
+            np.divide(counts, self.topology.max_vnfs_per_server, out=vector[n_cells:])
+        else:
+            vector[:n_cells] = activities
+            vector[n_cells:] = counts
+        return Observation(vector, n_cells)
 
 
 def write_step_records(records: list[StepRecord], path,

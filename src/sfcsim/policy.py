@@ -89,18 +89,23 @@ class PolicyNetwork:
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample one action per row; returns (components, joint_logp, values)."""
         logits, values = self.forward_np(obs)
-        batch = logits[0].shape[0]
-        components = np.zeros((batch, len(self.head_sizes)), dtype=int)
-        joint_logp = np.zeros(batch)
+        n_heads, batch = len(logits), logits[0].shape[0]
+        # Heads side by side, (head, row, category), padded with -inf: the
+        # padding's probability is 0, so each row's cumulative sum ends on
+        # its last category and inverse-CDF sampling cannot land on it.
+        logp = np.full((n_heads, batch, max(self.head_sizes)), -np.inf)
         for i, head_logits in enumerate(logits):
-            logp = _log_softmax_np(head_logits)
-            cdf = np.cumsum(np.exp(logp), axis=1)
-            u = rng.random(batch)
-            idx = np.minimum((u[:, None] > cdf).sum(axis=1),
-                             self.head_sizes[i] - 1)
-            components[:, i] = idx
-            joint_logp += logp[np.arange(batch), idx]
-        return components, joint_logp, values
+            logp[i, :, :self.head_sizes[i]] = _log_softmax_np(head_logits)
+        cdf = np.cumsum(np.exp(logp), axis=2)
+        # one draw for all heads: the same stream as one rng.random(batch) per head
+        u = rng.random((n_heads, batch))
+        idx = np.minimum((u[:, :, None] > cdf).sum(axis=2),
+                         np.array(self.head_sizes)[:, None] - 1)
+        chosen = np.take_along_axis(logp, idx[:, :, None], axis=2)[:, :, 0]
+        joint_logp = np.zeros(batch)
+        for head_logp in chosen:  # summed head by head, in order
+            joint_logp += head_logp
+        return idx.T, joint_logp, values
 
     def mode(self, obs: np.ndarray) -> np.ndarray:
         """Greedy action components (argmax of each head)."""

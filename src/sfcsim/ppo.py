@@ -289,10 +289,10 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
 
     n, T = config.n_envs, config.rollout_length
     obs_dim, n_heads = envs[0].obs_dim, len(envs[0].head_sizes)
-    ep_reward = np.zeros(n)
-    ep_lost = np.zeros(n)
-    ep_sfc = np.zeros(n, dtype=int)
-    ep_len = np.zeros(n, dtype=int)
+    ep_reward = [0.0] * n
+    ep_lost = [0.0] * n
+    ep_sfc = [0] * n
+    ep_len = [0] * n
 
     global_step = 0
     n_updates = max(1, config.total_steps // (n * T))
@@ -315,11 +315,12 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
             buf_actions[t] = components
             buf_logp[t] = joint_logp
             buf_values[t] = values
-            for i, env in enumerate(envs):
-                action = env.action_from_components(components[i])
+            rewards_t, dones_t = [], []
+            for i, (env, comps) in enumerate(zip(envs, components.tolist())):
+                action = env.action_from_components(comps)
                 next_obs, reward, done, info = env.step(action)
-                buf_rewards[t, i] = reward * config.reward_scale
-                buf_dones[t, i] = float(done)
+                rewards_t.append(reward * config.reward_scale)
+                dones_t.append(float(done))
                 ep_reward[i] += reward
                 ep_len[i] += 1
                 if hasattr(info, "sfc_status"):
@@ -334,7 +335,7 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
                     })
                 if done:
                     log.episodes.append(EpisodeStats(
-                        i, global_step + t, int(ep_len[i]), float(ep_reward[i]),
+                        i, global_step + t, ep_len[i], float(ep_reward[i]),
                         float(ep_lost[i]), int(ep_sfc[i])))
                     ep_reward[i] = ep_lost[i] = 0.0
                     ep_sfc[i] = ep_len[i] = 0
@@ -342,6 +343,8 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
                     next_obs = env.reset(
                         derive_seed(config.seed, f"env{i}", episode_counters[i]))
                 obs[i] = _obs_vector(next_obs)
+            buf_rewards[t] = rewards_t
+            buf_dones[t] = dones_t
             if normalizer is not None:
                 buf_rewards[t] = normalizer.scale(buf_rewards[t], buf_dones[t])
         global_step += T * n

@@ -9,7 +9,10 @@ the RL environment.
 
 Every server and every VNF instance owns an independent seed-derived RNG
 stream, so the timing of management actions never perturbs the failure
-times of unrelated entities.
+times of unrelated entities. The streams are bit-equal to
+``entity_rng(seed, 1, dc, server)`` and ``entity_rng(seed, 2, instance_id)``
+and are seeded in batches (``entity_streams``): all servers' at once, and
+instances' a block at a time, when a create first needs one.
 """
 
 import functools
@@ -21,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .artifacts import write_csv
-from .seeding import entity_rng
+from .seeding import Pcg64Stream, entity_streams
 
 VNF_TYPES = ("SGW", "PGW", "MME", "HSS")
 N_VNF_TYPES = 4
@@ -33,6 +36,7 @@ VNF_REPAIR = "vnf_repair"
 
 _STREAM_SERVER = 1
 _STREAM_VNF = 2
+_VNF_STREAM_BLOCK = 32  # instance streams seeded per batch
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ class VnfInstance:
     # (kind, remaining hours) while the host server is down
     suspended: tuple[str, float] | None = None
     event_token: int = 0
-    rng: np.random.Generator = field(default=None, repr=False)
+    rng: Pcg64Stream = field(default=None, repr=False)
 
 
 @dataclass
@@ -117,7 +121,7 @@ class ServerState:
     next_event_time: float = math.inf
     down_since: float | None = None
     event_token: int = 0
-    rng: np.random.Generator = field(default=None, repr=False)
+    rng: Pcg64Stream = field(default=None, repr=False)
 
     def type_count(self, vnf_type: int) -> int:
         return sum(1 for v in self.vnfs if v.vnf_type == vnf_type)
@@ -143,7 +147,7 @@ class ActionOutcome:
     instance_id: int | None = None
 
 
-def sample_exponential(rng: np.random.Generator, mean: float) -> float:
+def sample_exponential(rng: np.random.Generator | Pcg64Stream, mean: float) -> float:
     """Strictly positive exponential draw via inverse CDF, -mean*ln(1-u)."""
     if mean <= 0:
         raise ValueError("mean must be > 0")
@@ -179,6 +183,20 @@ def _energy_table(model: EnergyModel, n_max: int) -> tuple[float, ...]:
     return tuple(table)
 
 
+# Stream tags (2, id) of the first block of instances; add (0, start) to shift
+_VNF_TAGS = np.array([(_STREAM_VNF, i) for i in range(_VNF_STREAM_BLOCK)])
+_VNF_TAGS.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=None)
+def _server_tags(n_dcs: int, servers_per_dc: int) -> np.ndarray:
+    """Stream tags (1, dc, server) of every server, in (dc, server) order."""
+    tags = np.array([(_STREAM_SERVER, d, s)
+                     for d in range(n_dcs) for s in range(servers_per_dc)])
+    tags.flags.writeable = False  # shared by every SimState of this layout
+    return tags
+
+
 class SimState:
     """Mutable simulation state: servers, instances, and the event queue.
 
@@ -207,8 +225,11 @@ class SimState:
         self._dc_alloc = [0] * topology.n_dcs
         self._up_counts = [0] * N_VNF_TYPES
         self._instances: dict[int, VnfInstance] = {}
+        self._vnf_streams: list[Pcg64Stream] = []
+        streams = iter(entity_streams(self.seed, _server_tags(
+            topology.n_dcs, topology.servers_per_dc)))
         self.servers = [
-            [ServerState(d, s, rng=entity_rng(self.seed, _STREAM_SERVER, d, s))
+            [ServerState(d, s, rng=next(streams))
              for s in range(topology.servers_per_dc)]
             for d in range(topology.n_dcs)
         ]
@@ -357,10 +378,13 @@ class SimState:
         dc, sid = server.dc_id, server.server_id
         if self._alloc[dc, sid, vnf_type] >= self.topology.max_same_type_per_server:
             return ActionOutcome(False, "type_cap")
+        iid = self._next_instance_id
+        if iid == len(self._vnf_streams):
+            self._vnf_streams += entity_streams(self.seed, _VNF_TAGS + (0, iid))
         inst = VnfInstance(
-            instance_id=self._next_instance_id, vnf_type=vnf_type,
+            instance_id=iid, vnf_type=vnf_type,
             created_at=self.time, age_anchor=self.time,
-            rng=entity_rng(self.seed, _STREAM_VNF, self._next_instance_id))
+            rng=self._vnf_streams[iid])
         self._next_instance_id += 1
         server.vnfs.append(inst)
         self._instances[inst.instance_id] = inst

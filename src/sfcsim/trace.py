@@ -7,7 +7,7 @@ tab-separated file or from the synthetic diurnal generator.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,13 +44,16 @@ class SteppedTrace:
     """Per-cell activity aggregated into fixed steps.
 
     ``steps`` has one row per step (time order) and one column per cell,
-    aligned with ``cell_ids``. Missing intervals are explicit zeros.
+    aligned with ``cell_ids``. Missing intervals are explicit zeros. Treat
+    ``steps`` as fixed once built: ``step_totals`` sums it only once.
     """
 
     cell_ids: list[int]
     steps: np.ndarray
     step_duration: int = DEFAULT_STEP_DURATION
     origin_time_ms: int = DEFAULT_ORIGIN_MS
+    _step_totals: np.ndarray | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def __post_init__(self):
         self.steps = np.asarray(self.steps, dtype=float)
@@ -70,8 +73,11 @@ class SteppedTrace:
         return self.steps.shape[1]
 
     def step_totals(self) -> np.ndarray:
-        """Total activity per step, summed over all cells."""
-        return self.steps.sum(axis=1)
+        """Total activity per step, summed over all cells (read-only)."""
+        if self._step_totals is None:
+            self._step_totals = self.steps.sum(axis=1)
+            self._step_totals.flags.writeable = False
+        return self._step_totals
 
     def select_cells(self, cell_ids: list[int]) -> "SteppedTrace":
         """Trace restricted to the given cells, in the given order."""

@@ -1,0 +1,84 @@
+"""Property tests: batch-seeded entity streams equal NumPy's, draw for draw.
+
+``entity_streams`` reimplements SeedSequence and PCG64 outside NumPy, so it
+is checked against ``entity_rng`` over the seed ranges that change how a
+seed splits into 32-bit words (0, one word, two words) and over both tag
+shapes the simulator uses. The simulator's own streams are checked through
+the failure times they schedule.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sfcsim.seeding import entity_rng, entity_streams
+from sfcsim.simcore import (FailureModel, SimState, Topology,
+                            _VNF_STREAM_BLOCK, sample_exponential)
+
+N_DRAWS = 6
+SEEDS = st.one_of(st.just(0), st.integers(0, 2**32 - 1),
+                  st.integers(0, 2**63 - 1))
+
+
+def assert_streams_match(seed: int, rows: list[tuple[int, ...]]) -> None:
+    streams = entity_streams(seed, np.array(rows).reshape(len(rows), -1))
+    assert len(streams) == len(rows)
+    for row, stream in zip(rows, streams):
+        rng = entity_rng(seed, *row)
+        assert ([stream.random() for _ in range(N_DRAWS)]
+                == [rng.random() for _ in range(N_DRAWS)]), (seed, row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS,
+       servers=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)),
+                        min_size=1, max_size=8))
+def test_server_streams_equal_entity_rng(seed, servers):
+    assert_streams_match(seed, [(1, dc, server) for dc, server in servers])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, block=st.integers(0, 40), offset=st.integers(-3, 3),
+       count=st.integers(1, 8))
+def test_instance_streams_equal_entity_rng_across_blocks(seed, block, offset, count):
+    # ids start within a few of a block boundary, so ranges straddle it
+    start = max(0, block * _VNF_STREAM_BLOCK + offset)
+    assert_streams_match(seed, [(2, i) for i in range(start, start + count)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, tags=st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=6))
+def test_any_tag_count_equals_entity_rng(seed, tags):
+    assert_streams_match(seed, [tuple(tags)])
+
+
+def test_bad_tags_are_rejected():
+    with pytest.raises(ValueError):
+        entity_streams(0, np.array([[2, -1]]))
+    with pytest.raises(ValueError):
+        entity_streams(0, np.array([[2, 2**32]]))
+    with pytest.raises(ValueError):
+        entity_streams(0, [1, 2, 3])
+
+
+def test_simulator_schedules_from_entity_rng_streams():
+    """Servers' and instances' first draws are those of ``entity_rng``,
+    for instances in the first three seeding blocks."""
+    topo = Topology(n_dcs=10, servers_per_dc=5, max_vnfs_per_server=5,
+                    max_same_type_per_server=2)
+    failure = FailureModel(mttf_server=1e9)  # no server fails while we create
+    seed = 2**62 + 7
+    state = SimState(topo, failure, seed=seed)
+    for d, row in enumerate(state.servers):
+        for s, server in enumerate(row):
+            expected = sample_exponential(entity_rng(seed, 1, d, s),
+                                          failure.mttf_server)
+            assert server.next_event_time == expected
+    n = 2 * _VNF_STREAM_BLOCK + 5
+    for i in range(n):
+        outcome = state.apply_action(1, (i // 8) % 10, (i // 2) % 5, i % 4)
+        assert outcome.accepted and outcome.instance_id == i
+    instances = {inst.instance_id: inst for _, inst in state.instances()}
+    for i in range(n):
+        expected = sample_exponential(entity_rng(seed, 2, i), failure.mttf_vnf)
+        assert instances[i].scheduled_failure_at == expected

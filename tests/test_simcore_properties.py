@@ -1,8 +1,11 @@
-"""Property test: SimState's incremental aggregates equal a full rescan.
+"""Property tests: SimState's incremental aggregates equal a full rescan,
+and instances on a down server stay suspended.
 
 Hypothesis draws random interleavings of management actions, clock
 advances and forced server failures; after every operation each query is
-recomputed from the raw ``instances()`` walk and compared exactly.
+recomputed from the raw ``instances()`` walk and compared exactly. The
+second test replays each advance's processed events in order and checks
+that no instance event fires while its server is down.
 """
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
-                            SimState, Topology)
+                            SERVER_REPAIR, SimState, Topology)
 
 TOPOLOGY = Topology(n_dcs=2, servers_per_dc=3, max_vnfs_per_server=4,
                     max_same_type_per_server=2)
@@ -51,25 +54,50 @@ def assert_matches_rescan(state: SimState) -> None:
     assert alloc.max() <= topo.max_same_type_per_server
 
 
+def apply(state: SimState, op: tuple) -> list:
+    """Run one drawn operation; returns the events it processed."""
+    if op[0] == "act":
+        state.apply_action(*op[1:])
+    elif op[0] == "advance":
+        return state.advance_to(state.time + op[1])
+    else:
+        _, dc, sid, delay = op
+        server = state.servers[dc][sid]
+        if server.up:  # a down server cannot fail again
+            state._push(state.time + delay, SERVER_FAIL, server)
+    return []
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**16), operations=st.lists(OPERATION, max_size=100))
 def test_aggregates_equal_full_rescan(seed, operations):
     state = SimState(TOPOLOGY, FAILURE, seed=seed)
     last_time = 0.0
     for op in operations:
-        if op[0] == "act":
-            state.apply_action(*op[1:])
-        elif op[0] == "advance":
-            for event in state.advance_to(state.time + op[1]):
-                assert event.time >= last_time
-                last_time = event.time
-        else:
-            _, dc, sid, delay = op
-            server = state.servers[dc][sid]
-            if server.up:  # a down server cannot fail again
-                state._push(state.time + delay, SERVER_FAIL, server)
+        for event in apply(state, op):
+            assert event.time >= last_time
+            last_time = event.time
         assert_matches_rescan(state)
     state.vnf_counts()[:] += 1  # changes the caller's copy, not the state
     with pytest.raises(ValueError):
         state.alloc[0, 0, 0] = 1
     assert_matches_rescan(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), operations=st.lists(OPERATION, max_size=100))
+def test_suspended_instances_never_fire(seed, operations):
+    state = SimState(TOPOLOGY, FAILURE, seed=seed)
+    for op in operations:
+        down = {(s.dc_id, s.server_id) for row in state.servers for s in row
+                if not s.up}
+        for event in apply(state, op):
+            host = (event.dc_id, event.server_id)
+            if event.kind == SERVER_FAIL:
+                down.add(host)
+            elif event.kind == SERVER_REPAIR:
+                down.discard(host)
+            else:
+                assert host not in down, event
+        for server, inst in state.instances():
+            assert (inst.suspended is not None) == (not server.up)
