@@ -11,6 +11,11 @@ baselines (20 files, written to ``<out>/artifacts``). Each line is
 ``<sha256>  <file name>``, sorted by name, so two checkouts compare with
 one ``diff`` of their outputs. Every file is digested as written, ``.npz``
 files included (NumPy stamps their zip members with a fixed date).
+
+The commands run with one BLAS thread (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1): training's bits depend
+on the BLAS thread count, so digests taken under different settings would
+differ for the same code.
 """
 
 import argparse
@@ -24,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRAIN_STEPS = 20000
 BASELINES = ("noop", "random", "static_greedy")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run(out: Path) -> None:
@@ -34,7 +40,8 @@ def run(out: Path) -> None:
         raise SystemExit("examples_config.yaml has no single total_steps line")
     config.write_text(text)
     artifacts = out / "artifacts"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           **{var: "1" for var in BLAS_THREAD_VARS}}
     base = [sys.executable, "-m", "sfcsim.cli"]
     commands = [["generate-trace"], ["cluster"], ["train"],
                 ["eval", "--policy", str(artifacts / "checkpoint.npz")]]

@@ -5,6 +5,9 @@ clipped-surrogate objective: matmul, broadcasting add, tanh, exp,
 log-softmax, gather, clip, elementwise min, and reductions. Arrays are
 float64 throughout so gradients can be checked against central finite
 differences tightly.
+
+Training does not run this engine: ``ppo.ppo_loss`` computes the same
+gradient in closed form, bit for bit, and the tests compare the two.
 """
 
 import numpy as np

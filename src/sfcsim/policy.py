@@ -32,13 +32,16 @@ def clipped_zscore(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarr
     return np.clip((x - mean) / np.sqrt(var + 1e-8), -10.0, 10.0)
 
 
-def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
+def _log_softmax_np(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return np.subtract(shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True)),
+                       out=out)
 
 
 class PolicyNetwork:
-    """Parameter container plus forward passes (numpy for acting, Tensor for training).
+    """Parameter container plus forward passes: numpy for acting and learning,
+    Tensor for the autodiff reference that the learner's gradient is checked
+    against.
 
     The network itself never normalizes its input; when the learner
     standardizes observations, the running statistics are attached here
@@ -65,20 +68,24 @@ class PolicyNetwork:
         for i, size in enumerate(self.head_sizes):
             self.params[f"wh{i}"] = orthogonal(rng, h2, size, 0.01)
             self.params[f"bh{i}"] = np.zeros(size)
+        # sample()'s constant index arrays: one row per head, its last category
+        self._head_rows = np.arange(len(self.head_sizes))[:, None]
+        self._head_last = np.array(self.head_sizes)[:, None] - 1
 
     # ------------------------------------------------------------ numpy path
 
-    def _trunk_np(self, obs: np.ndarray) -> np.ndarray:
+    def _trunk_np(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both hidden layers' activations, (first, second)."""
         p = self.params
         h = np.tanh(obs @ p["w1"] + p["b1"])
-        return np.tanh(h @ p["w2"] + p["b2"])
+        return h, np.tanh(h @ p["w2"] + p["b2"])
 
     def forward_np(self, obs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Per-head logits and state values for a batch of observations."""
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         if obs.shape[1] != self.obs_dim:
             raise ValueError(f"expected obs dim {self.obs_dim}, got {obs.shape[1]}")
-        trunk = self._trunk_np(obs)
+        _, trunk = self._trunk_np(obs)
         p = self.params
         logits = [trunk @ p[f"wh{i}"] + p[f"bh{i}"]
                   for i in range(len(self.head_sizes))]
@@ -95,13 +102,12 @@ class PolicyNetwork:
         # its last category and inverse-CDF sampling cannot land on it.
         logp = np.full((n_heads, batch, max(self.head_sizes)), -np.inf)
         for i, head_logits in enumerate(logits):
-            logp[i, :, :self.head_sizes[i]] = _log_softmax_np(head_logits)
+            _log_softmax_np(head_logits, out=logp[i, :, :self.head_sizes[i]])
         cdf = np.cumsum(np.exp(logp), axis=2)
         # one draw for all heads: the same stream as one rng.random(batch) per head
         u = rng.random((n_heads, batch))
-        idx = np.minimum((u[:, :, None] > cdf).sum(axis=2),
-                         np.array(self.head_sizes)[:, None] - 1)
-        chosen = np.take_along_axis(logp, idx[:, :, None], axis=2)[:, :, 0]
+        idx = np.minimum((u[:, :, None] > cdf).sum(axis=2), self._head_last)
+        chosen = logp[self._head_rows, np.arange(batch), idx]
         joint_logp = np.zeros(batch)
         for head_logp in chosen:  # summed head by head, in order
             joint_logp += head_logp

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
-from .policy import PolicyNetwork, clipped_zscore
+from .policy import PolicyNetwork, _log_softmax_np, clipped_zscore
 from .seeding import derive_seed, entity_rng
 
 logger = logging.getLogger(__name__)
@@ -66,9 +65,10 @@ class RunningObsStats:
         self.count = 1e-4
 
     def update(self, batch: np.ndarray) -> None:
-        batch_mean = batch.mean(axis=0)
-        batch_var = batch.var(axis=0)
         n = batch.shape[0]
+        batch_mean = batch.mean(axis=0)
+        dev = batch - batch_mean
+        batch_var = (dev * dev).sum(axis=0) / n  # batch.var(axis=0), bit for bit
         delta = batch_mean - self.mean
         total = self.count + n
         self.mean += delta * n / total
@@ -96,11 +96,13 @@ class ReturnNormalizer:
         self.m2 = 0.0
 
     def _push(self, values: np.ndarray) -> None:
-        for x in values:
-            self.count += 1
-            delta = x - self.mean
-            self.mean += delta / self.count
-            self.m2 += delta * (x - self.mean)
+        count, mean, m2 = self.count, self.mean, self.m2
+        for x in values.tolist():
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+        self.count, self.mean, self.m2 = count, mean, m2
 
     def scale(self, rewards: np.ndarray, dones: np.ndarray) -> np.ndarray:
         self.returns = self.returns * self.gamma + rewards
@@ -145,59 +147,129 @@ def compute_gae(rewards, values, dones, gamma: float, lam: float,
 
 
 def ppo_loss(policy: PolicyNetwork, batch: dict, config: PpoConfig
-             ) -> tuple[Tensor, dict[str, Tensor], dict[str, float]]:
-    """Clipped-surrogate loss on one minibatch.
+             ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
+    """Clipped-surrogate loss on one minibatch, and its gradient in closed form.
 
     ``batch`` holds numpy arrays: obs (B,D), actions (B,4), old_logp (B,),
-    advantages (B,), returns (B,). Returns the scalar loss tensor, the
-    parameter tensors (for gradient extraction), and diagnostics.
+    advantages (B,), returns (B,), optionally old_values (B,). Returns the
+    loss, the gradient of every parameter (in ``policy.params`` order) and
+    diagnostics.
+
+    The backward pass repeats, op for op and in the same accumulation order,
+    what ``autodiff.Tensor.backward`` does on the graph of ``forward_t``, so
+    the gradients are bit-identical to the engine's. That is why a gradient
+    with three or more terms (the trunk's, each head's log-probs') sums them
+    in the engine's order, and why masks multiply rather than select:
+    ``g * 0.0`` keeps the sign of a zero that a selection would drop.
     """
-    tensors = policy.build_tensors()
-    log_probs, values = policy.forward_t(tensors, batch["obs"])
-    actions = batch["actions"]
-    new_logp = log_probs[0].take_along_rows(actions[:, 0])
-    for i in range(1, len(log_probs)):
-        new_logp = new_logp + log_probs[i].take_along_rows(actions[:, i])
+    p = policy.params
+    x = np.asarray(batch["obs"], dtype=np.float64)
+    B = x.shape[0]
+    rows = np.arange(B)
+    taken_idx = [np.asarray(batch["actions"][:, i], dtype=int)
+                 for i in range(len(policy.head_sizes))]
+    h, trunk = policy._trunk_np(x)
 
-    ratio = (new_logp - batch["old_logp"]).exp()
-    adv = batch["advantages"]
+    # ---- forward
+    log_probs, probs = [], []
+    new_logp = None
+    for i, idx in enumerate(taken_idx):
+        lp = _log_softmax_np(trunk @ p[f"wh{i}"] + p[f"bh{i}"])
+        log_probs.append(lp)
+        probs.append(np.exp(lp))
+        taken = lp[rows, idx]
+        new_logp = taken if new_logp is None else new_logp + taken
+    values = (trunk @ p["wv"] + p["bv"]).sum(axis=1)
+
+    old_logp = np.asarray(batch["old_logp"], dtype=np.float64)
+    ratio = np.exp(new_logp - old_logp)
+    adv = np.asarray(batch["advantages"], dtype=np.float64)
     eps = config.clip_epsilon
-    surrogate = (ratio * adv).minimum(ratio.clamp(1.0 - eps, 1.0 + eps) * adv)
-    policy_loss = -surrogate.mean()
+    ratio_inside = (ratio >= 1.0 - eps) & (ratio <= 1.0 + eps)
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
+    take_unclipped = unclipped <= clipped
+    policy_loss = -np.minimum(unclipped, clipped).mean()
 
-    if config.clip_value and "old_values" in batch:
-        clipped = Tensor(batch["old_values"]) + \
-            (values - batch["old_values"]).clamp(-eps, eps)
-        err_raw = (values - batch["returns"]).square()
-        err_clipped = (clipped - batch["returns"]).square()
-        value_loss = err_raw.maximum(err_clipped).mean()
+    returns = np.asarray(batch["returns"], dtype=np.float64)
+    err = values - returns
+    clip_value = config.clip_value and "old_values" in batch
+    if clip_value:
+        old_values = np.asarray(batch["old_values"], dtype=np.float64)
+        moved = values - old_values
+        moved_inside = (moved >= -eps) & (moved <= eps)
+        err_clipped = old_values + np.clip(moved, -eps, eps) - returns
+        sq_raw, sq_clipped = err ** 2, err_clipped ** 2
+        take_raw = sq_raw >= sq_clipped
+        value_loss = np.maximum(sq_raw, sq_clipped).mean()
     else:
-        value_loss = (values - batch["returns"]).square().mean()
+        value_loss = (err ** 2).mean()
 
     entropy = None
-    for lp in log_probs:
-        head_entropy = -(lp.exp() * lp).sum(axis=1)
+    for lp, pr in zip(log_probs, probs):
+        head_entropy = -(pr * lp).sum(axis=1)
         entropy = head_entropy if entropy is None else entropy + head_entropy
     entropy_mean = entropy.mean()
 
     loss = (policy_loss + config.value_coef * value_loss
             - config.entropy_coef * entropy_mean)
-    if not np.isfinite(loss.data):
+    if not np.isfinite(loss):
         raise FloatingPointError(
-            f"non-finite PPO loss (policy={policy_loss.data}, "
-            f"value={value_loss.data}, entropy={entropy_mean.data})")
+            f"non-finite PPO loss (policy={policy_loss}, "
+            f"value={value_loss}, entropy={entropy_mean})")
 
-    clip_fraction = float(np.mean(np.abs(ratio.data - 1.0) > eps))
-    approx_kl = float(np.mean(batch["old_logp"] - new_logp.data))
+    # ---- backward from d loss / d loss = 1, each seed formed as the engine does
+    g_surrogate = np.full(B, -1.0 / B)
+    g_value_elems = np.full(B, (1.0 * config.value_coef) / B)
+    g_entropy_elems = -((-1.0 * config.entropy_coef) / B)
+
+    # surrogate -> ratio -> new log-prob
+    g_ratio = (g_surrogate * ~take_unclipped) * adv * ratio_inside
+    g_ratio += (g_surrogate * take_unclipped) * adv
+    g_new_logp = g_ratio * ratio
+
+    # value loss -> values
+    if clip_value:
+        g_values = (g_value_elems * ~take_raw) * 2.0 * err_clipped * moved_inside
+        g_values += (g_value_elems * take_raw) * 2.0 * err
+    else:
+        g_values = g_value_elems * 2.0 * err
+    g_value_out = g_values.reshape(B, 1)
+
+    grads: dict[str, np.ndarray] = {}
+    g_trunk = g_value_out @ p["wv"].T
+    grads["wv"] = trunk.T @ g_value_out
+    grads["bv"] = g_value_out.sum(axis=0)
+    for i in reversed(range(len(log_probs))):
+        lp, pr = log_probs[i], probs[i]
+        # entropy's two paths into the log-probs, then the taken actions'
+        g_entropy = np.full(lp.shape, g_entropy_elems)
+        g_lp = g_entropy * pr
+        g_lp += (g_entropy * lp) * pr
+        gathered = np.zeros_like(lp)
+        np.add.at(gathered, (rows, taken_idx[i]), g_new_logp)
+        g_lp += gathered
+        g_logits = g_lp - pr * g_lp.sum(axis=-1, keepdims=True)
+        g_trunk += g_logits @ p[f"wh{i}"].T
+        grads[f"wh{i}"] = trunk.T @ g_logits
+        grads[f"bh{i}"] = g_logits.sum(axis=0)
+    g_pre2 = g_trunk * (1.0 - trunk ** 2)
+    g_h = g_pre2 @ p["w2"].T
+    g_pre1 = g_h * (1.0 - h ** 2)
+    grads["w1"] = x.T @ g_pre1
+    grads["b1"] = g_pre1.sum(axis=0)
+    grads["w2"] = h.T @ g_pre2
+    grads["b2"] = g_pre2.sum(axis=0)
+
     diagnostics = {
-        "loss": float(loss.data),
-        "policy_loss": float(policy_loss.data),
-        "value_loss": float(value_loss.data),
-        "entropy": float(entropy_mean.data),
-        "clip_fraction": clip_fraction,
-        "kl": approx_kl,
+        "loss": float(loss),
+        "policy_loss": float(policy_loss),
+        "value_loss": float(value_loss),
+        "entropy": float(entropy_mean),
+        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > eps)),
+        "kl": float(np.mean(old_logp - new_logp)),
     }
-    return loss, tensors, diagnostics
+    return float(loss), {k: grads[k] for k in p}, diagnostics
 
 
 class Adam:
@@ -384,9 +456,7 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
                     "advantages": adv,
                     "returns": flat["returns"][idx],
                 }
-                loss, tensors, diag = ppo_loss(policy, minibatch, config)
-                loss.backward()
-                grads = {k: t.grad for k, t in tensors.items() if t.grad is not None}
+                _, grads, diag = ppo_loss(policy, minibatch, config)
                 adam.step(policy.params, grads)
                 for k, v in diag.items():
                     diag_accum[k] = diag_accum.get(k, 0.0) + v

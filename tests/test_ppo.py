@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from sfcsim.autodiff import Tensor
 from sfcsim.policy import PolicyNetwork
-from sfcsim.ppo import Adam, PpoConfig, compute_gae, ppo_loss, train
+from sfcsim.ppo import (Adam, PpoConfig, ReturnNormalizer, RunningObsStats,
+                        compute_gae, ppo_loss, train)
 
 from toy_env import CorridorEnv, greedy_return
 
@@ -88,13 +90,121 @@ def make_batch(net, rng, B=8, old_from_net=True):
     }
 
 
+def graph_loss(policy, batch, config):
+    """The PPO loss composed on the autodiff engine: the oracle for ppo_loss.
+
+    Returns (loss tensor, parameter tensors, diagnostics); call
+    ``loss.backward()`` to fill each parameter tensor's ``grad``.
+    """
+    tensors = policy.build_tensors()
+    log_probs, values = policy.forward_t(tensors, batch["obs"])
+    actions = batch["actions"]
+    new_logp = log_probs[0].take_along_rows(actions[:, 0])
+    for i in range(1, len(log_probs)):
+        new_logp = new_logp + log_probs[i].take_along_rows(actions[:, i])
+
+    ratio = (new_logp - batch["old_logp"]).exp()
+    adv = batch["advantages"]
+    eps = config.clip_epsilon
+    surrogate = (ratio * adv).minimum(ratio.clamp(1.0 - eps, 1.0 + eps) * adv)
+    policy_loss = -surrogate.mean()
+
+    if config.clip_value and "old_values" in batch:
+        clipped = Tensor(batch["old_values"]) + \
+            (values - batch["old_values"]).clamp(-eps, eps)
+        err_raw = (values - batch["returns"]).square()
+        err_clipped = (clipped - batch["returns"]).square()
+        value_loss = err_raw.maximum(err_clipped).mean()
+    else:
+        value_loss = (values - batch["returns"]).square().mean()
+
+    entropy = None
+    for lp in log_probs:
+        head_entropy = -(lp.exp() * lp).sum(axis=1)
+        entropy = head_entropy if entropy is None else entropy + head_entropy
+    entropy_mean = entropy.mean()
+
+    loss = (policy_loss + config.value_coef * value_loss
+            - config.entropy_coef * entropy_mean)
+    diagnostics = {
+        "loss": float(loss.data),
+        "policy_loss": float(policy_loss.data),
+        "value_loss": float(value_loss.data),
+        "entropy": float(entropy_mean.data),
+        "clip_fraction": float(np.mean(np.abs(ratio.data - 1.0) > eps)),
+        "kl": float(np.mean(batch["old_logp"] - new_logp.data)),
+    }
+    return loss, tensors, diagnostics
+
+
+def oracle_case(rng, obs_dim, head_sizes, hidden, B):
+    """A network with peaked heads and a batch whose ratios and value moves
+    fall both inside and outside the clip range (and exactly at 1)."""
+    net = PolicyNetwork(obs_dim, head_sizes, hidden=hidden,
+                        seed=int(rng.integers(1 << 31)))
+    for key, arr in net.params.items():
+        arr += rng.normal(scale=0.3, size=arr.shape)
+    batch = make_batch(net, rng, B=B)
+    exact = rng.random(B) < 0.3  # these rows keep ratio exactly 1
+    batch["old_logp"] = batch["old_logp"] + np.where(
+        exact, 0.0, rng.normal(scale=0.4, size=B))
+    _, values = net.forward_np(batch["obs"])
+    batch["old_values"] = values + rng.normal(scale=0.3, size=B)
+    batch["returns"] = values + rng.normal(scale=1.0, size=B)
+    return net, batch
+
+
+ORACLE_SIZES = [
+    (476, (4, 10, 5, 4), (64, 64), 512),  # reference network, one minibatch
+    (476, (4, 10, 5, 4), (64, 64), 1),
+    (5, (4, 3, 2, 2), (6, 6), 8),
+    (3, (2, 2, 1, 1), (4, 3), 1),
+    (8, (2, 1, 1, 1), (64, 64), 37),
+]
+
+
+@pytest.mark.parametrize("sizes", ORACLE_SIZES, ids=lambda s: f"{s[0]}x{s[3]}")
+def test_closed_form_matches_graph_bit_for_bit(sizes):
+    obs_dim, head_sizes, hidden, B = sizes
+    rng = np.random.default_rng(obs_dim * 1000 + B)
+    configs = [PpoConfig(), PpoConfig(clip_value=False),
+               PpoConfig(clip_epsilon=0.05, value_coef=0.25, entropy_coef=0.0)]
+    for trial in range(6):
+        net, batch = oracle_case(rng, obs_dim, head_sizes, hidden, B)
+        if trial % 3 == 2:
+            del batch["old_values"]
+        for cfg in configs:
+            loss, grads, diag = ppo_loss(net, batch, cfg)
+            ref_loss, tensors, ref_diag = graph_loss(net, batch, cfg)
+            ref_loss.backward()
+            assert np.float64(loss).tobytes() == ref_loss.data.tobytes()
+            assert list(grads) == list(net.params)
+            for key, t in tensors.items():
+                assert grads[key].shape == t.grad.shape, key
+                assert grads[key].tobytes() == t.grad.tobytes(), key
+            assert list(diag) == list(ref_diag)
+            for key, value in ref_diag.items():
+                assert np.float64(diag[key]).tobytes() == np.float64(value).tobytes(), key
+
+
+def test_oracle_cases_cross_both_clip_ranges():
+    rng = np.random.default_rng(0)
+    net, batch = oracle_case(rng, 476, (4, 10, 5, 4), (64, 64), 512)
+    cfg = PpoConfig()
+    _, _, diag = ppo_loss(net, batch, cfg)
+    assert 0.2 < diag["clip_fraction"] < 0.8
+    _, values = net.forward_np(batch["obs"])
+    moved = np.abs(values - batch["old_values"])
+    assert (moved < cfg.clip_epsilon).any() and (moved > cfg.clip_epsilon).any()
+
+
 def test_unchanged_params_give_ratio_one_surrogate():
     net = PolicyNetwork(5, (4, 3, 2, 2), hidden=(6, 6), seed=1)
     rng = np.random.default_rng(2)
     batch = make_batch(net, rng)
     cfg = PpoConfig(value_coef=0.0, entropy_coef=0.0)
     loss, _, diag = ppo_loss(net, batch, cfg)
-    assert float(loss.data) == pytest.approx(-batch["advantages"].mean(), abs=1e-12)
+    assert loss == pytest.approx(-batch["advantages"].mean(), abs=1e-12)
     assert diag["clip_fraction"] == 0.0
     assert diag["kl"] == pytest.approx(0.0, abs=1e-12)
 
@@ -108,14 +218,12 @@ def test_clip_saturation_zeroes_policy_gradient():
     batch["old_logp"] = batch["old_logp"] - np.log(1.0 + 2 * eps)
     batch["advantages"] = np.abs(batch["advantages"]) + 0.1
     cfg = PpoConfig(clip_epsilon=eps, value_coef=0.0, entropy_coef=0.0)
-    loss, tensors, diag = ppo_loss(net, batch, cfg)
+    loss, grads, diag = ppo_loss(net, batch, cfg)
     assert diag["clip_fraction"] == 1.0
-    assert float(loss.data) == pytest.approx(
-        -(1 + eps) * batch["advantages"].mean(), rel=1e-9)
-    loss.backward()
-    for key, t in tensors.items():
-        if t.grad is not None:
-            np.testing.assert_allclose(t.grad, 0.0, atol=1e-12)
+    assert loss == pytest.approx(-(1 + eps) * batch["advantages"].mean(), rel=1e-9)
+    assert list(grads) == list(net.params)
+    for g in grads.values():
+        np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
 def test_gradients_match_finite_differences():
@@ -123,12 +231,11 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     batch = make_batch(net, rng, B=6)
     cfg = PpoConfig()
-    loss, tensors, _ = ppo_loss(net, batch, cfg)
-    loss.backward()
+    _, grads, _ = ppo_loss(net, batch, cfg)
     eps = 1e-6
     worst = 0.0
     for key, arr in net.params.items():
-        analytic = tensors[key].grad.reshape(-1)
+        analytic = grads[key].reshape(-1)
         for j in range(arr.size):
             orig = arr.flat[j]
             arr.flat[j] = orig + eps
@@ -136,7 +243,7 @@ def test_gradients_match_finite_differences():
             arr.flat[j] = orig - eps
             lm, _, _ = ppo_loss(net, batch, cfg)
             arr.flat[j] = orig
-            fd = (float(lp.data) - float(lm.data)) / (2 * eps)
+            fd = (lp - lm) / (2 * eps)
             rel = abs(fd - analytic[j]) / max(abs(fd), abs(analytic[j]), 1e-8)
             worst = max(worst, rel)
     assert worst < 1e-4
@@ -149,6 +256,43 @@ def test_non_finite_loss_raises():
     batch["advantages"] = np.full(4, np.inf)
     with pytest.raises(FloatingPointError):
         ppo_loss(net, batch, PpoConfig())
+
+
+# ---------------------------------------------------------------- normalizers
+
+def test_obs_stats_match_two_pass_welford_bit_for_bit():
+    rng = np.random.default_rng(11)
+    stats = RunningObsStats(7)
+    mean, var, count = np.zeros(7), np.ones(7), 1e-4
+    for _ in range(50):
+        batch = rng.normal(loc=3.0, scale=rng.uniform(0.1, 5.0), size=(8, 7))
+        stats.update(batch)
+        n = batch.shape[0]
+        delta = batch.mean(axis=0) - mean
+        total = count + n
+        mean = mean + delta * n / total
+        var = (var * count + batch.var(axis=0) * n
+               + delta ** 2 * count * n / total) / total
+        count = total
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.var.tobytes() == var.tobytes()
+
+
+def test_return_normalizer_matches_numpy_scalar_welford():
+    rng = np.random.default_rng(12)
+    norm = ReturnNormalizer(4, gamma=0.99)
+    count, mean, m2 = 0, 0.0, 0.0
+    for _ in range(100):
+        rewards = rng.normal(scale=50.0, size=4)
+        for x in norm.returns * 0.99 + rewards:  # np.float64 scalars
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+        norm.scale(rewards, np.zeros(4))
+        assert norm.count == count
+        assert np.float64(norm.mean).tobytes() == np.float64(mean).tobytes()
+        assert np.float64(norm.m2).tobytes() == np.float64(m2).tobytes()
 
 
 # ---------------------------------------------------------------------- Adam
