@@ -32,45 +32,6 @@ class ActionTuple(NamedTuple):
     server: int
     vnf_type: int
 
-    def components(self) -> tuple[int, int, int, int]:
-        return (self.a, self.dc, self.server, self.vnf_type)
-
-
-class Observation:
-    """Current traffic plus the allocated-VNF inventory, as one vector.
-
-    ``cell_activities`` and ``vnf_counts`` (flattened in (dc, server, type)
-    order) are views of that vector, and ``vector()`` returns it without a
-    copy. Values are normalized when the environment is configured to do so.
-    """
-
-    __slots__ = ("_vector", "_n_cells")
-
-    def __init__(self, vector: np.ndarray, n_cells: int):
-        self._vector = vector
-        self._n_cells = n_cells
-
-    @property
-    def cell_activities(self) -> np.ndarray:
-        return self._vector[:self._n_cells]
-
-    @property
-    def vnf_counts(self) -> np.ndarray:
-        return self._vector[self._n_cells:]
-
-    def vector(self) -> np.ndarray:
-        return self._vector
-
-
-class RewardBreakdown(NamedTuple):
-    sfc_status: int
-    packets: float
-    packet_loss_term: float
-    energy_term: float
-    restart_term: float
-    bonus_term: float
-    total: float
-
 
 @dataclass
 class EnvConfig:
@@ -89,11 +50,15 @@ class EnvConfig:
             raise ValueError("f must be > 0")
         if min(self.w_p, self.w_e, self.restart_penalty) < 0:
             raise ValueError("weights must be nonnegative")
+        if self.episode_length is not None and self.episode_length < 1:
+            raise ValueError("episode_length must be None or >= 1")
+        if self.activity_scale is not None and self.activity_scale <= 0:
+            raise ValueError("activity_scale must be None or > 0")
 
 
 @dataclass
 class StepRecord:
-    """One row of the step-trace export (the series behind the result plots)."""
+    """The result of one step and one row of the step-trace export."""
 
     step: int
     a: int
@@ -158,7 +123,7 @@ class SfcEnv:
 
     # --------------------------------------------------------------- episode
 
-    def reset(self, seed: int = 0) -> Observation:
+    def reset(self, seed: int = 0) -> np.ndarray:
         sim_seed = derive_seed(seed, "sim")
         self.sim = SimState(self.topology, self.failure, t0=0.0, seed=sim_seed)
         offset = 0
@@ -174,11 +139,12 @@ class SfcEnv:
         self.done = False
         return self.encode_observation()
 
-    def step(self, action: ActionTuple) -> tuple[Observation, float, bool, RewardBreakdown]:
-        """Apply ``action`` (see ``ActionTuple``), then simulate one window."""
+    def step(self, action: ActionTuple) -> tuple[np.ndarray, float, bool, StepRecord]:
+        """Apply ``action`` (see ``ActionTuple``), simulate one window, and return
+        ``(obs, reward, done, record)``; ``record`` is appended to ``step_records``."""
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        outcome = self.sim.apply_action(*action.components())
+        outcome = self.sim.apply_action(*action)
         dt_hours = self.config.step_duration / 3600.0
         self.sim.advance_to(self.sim.time + dt_hours)
 
@@ -193,27 +159,28 @@ class SfcEnv:
         restart_term = -cfg.restart_penalty * restarted
         bonus_term = sfc * cfg.f
         reward = packet_loss_term + energy_term + restart_term + bonus_term
-        breakdown = RewardBreakdown(sfc, packets, packet_loss_term, energy_term,
-                                    restart_term, bonus_term, reward)
 
         lost = (1 - sfc) * packets
         self._cum_reward += reward
         self._cum_lost += lost
-        self.step_records.append(StepRecord(
+        record = StepRecord(
             self._steps_taken, action.a, action.dc, action.server,
             action.vnf_type, outcome.accepted, sfc, packets, lost,
-            total_energy, reward, self._cum_reward, self._cum_lost))
+            total_energy, reward, self._cum_reward, self._cum_lost)
+        self.step_records.append(record)
 
         self._row += 1
         self._steps_taken += 1
         if self._steps_taken >= self.episode_steps() or self._row >= self.trace.n_steps:
             self.done = True
-        return self.encode_observation(), reward, self.done, breakdown
+        return self.encode_observation(), reward, self.done, record
 
     # ---------------------------------------------------------- observations
 
-    def encode_observation(self) -> Observation:
-        """Current activities plus allocated-VNF counts, optionally normalized."""
+    def encode_observation(self) -> np.ndarray:
+        """Cell activities, then allocated-VNF counts in (dc, server, type) order.
+
+        One float64 vector of length ``obs_dim``, normalized when configured."""
         steps = self.trace.steps
         n_cells = steps.shape[1]
         activities = steps[min(self._row, steps.shape[0] - 1)]
@@ -226,7 +193,7 @@ class SfcEnv:
         else:
             vector[:n_cells] = activities
             vector[n_cells:] = counts
-        return Observation(vector, n_cells)
+        return vector
 
 
 def write_step_records(records: list[StepRecord], path,

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import clustering, policies, ppo, trace as trace_mod
 from .artifacts import write_csv
 from .config import ConfigError, ExperimentConfig, config_hash
-from .env import EnvConfig, SfcEnv, write_step_records
+from .env import SfcEnv, write_step_records
 from .policy import PolicyNetwork
 from .seeding import derive_seed
 
@@ -93,10 +93,9 @@ def build_envs(cfg: ExperimentConfig) -> tuple[SfcEnv, SfcEnv]:
     env_cfg = cfg.env
     if env_cfg.normalize_obs and env_cfg.activity_scale is None:
         scale = float(split.train.steps.max())
-        env_cfg = EnvConfig(**{**vars(env_cfg), "activity_scale": scale or 1.0})
+        env_cfg = dataclasses.replace(env_cfg, activity_scale=scale or 1.0)
     train_env = SfcEnv(split.train, cfg.topology, cfg.failure, cfg.energy, env_cfg)
-    test_cfg = EnvConfig(**{**vars(env_cfg), "eval_mode": True,
-                            "episode_length": None})
+    test_cfg = dataclasses.replace(env_cfg, eval_mode=True, episode_length=None)
     test_env = SfcEnv(split.test, cfg.topology, cfg.failure, cfg.energy, test_cfg)
     return train_env, test_env
 
@@ -168,8 +167,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, quick: bool = False) -> Path
               _comments(cfg))
     write_csv(out_dir / "training_steps.csv",
               ["step", "reward", "sfc", "packets"],
-              ([row["step"], _fmt(row["reward"]), row["sfc"],
-                _fmt(row["packets"]) if row["packets"] != "" else ""]
+              ([row["step"], _fmt(row["reward"]), row["sfc"], _fmt(row["packets"])]
                for row in log.env0_steps),
               _comments(cfg))
     write_csv(out_dir / "training_episodes.csv",

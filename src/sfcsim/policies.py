@@ -1,8 +1,9 @@
 """Acting policies (trained and baselines) plus seeded evaluation rollouts.
 
-A policy exposes ``reset(seed)`` and ``act(obs, env) -> ActionTuple``. The
-learned policy only looks at the observation; the rule-based baseline may
-inspect the simulator state directly.
+A policy exposes ``reset(seed)`` and ``act(obs, env) -> ActionTuple``, where
+``obs`` is the float64 vector from ``SfcEnv.encode_observation``. The learned
+policy only looks at the observation; the rule-based baseline may inspect the
+simulator state directly.
 """
 
 from dataclasses import dataclass, field
@@ -103,7 +104,7 @@ class PpoPolicy:
         self._rng = entity_rng(seed, 31)
 
     def act(self, obs, env) -> ActionTuple:
-        vec = self.net.normalize_obs(obs.vector())[None, :]
+        vec = self.net.normalize_obs(obs)[None, :]
         if self.greedy:
             comps = self.net.mode(vec)[0]
         else:
@@ -187,11 +188,11 @@ def evaluate_policy(policy, env: SfcEnv, n_runs: int, seeds: list[int] | None = 
         done = False
         while not done:
             action = policy.act(obs, env)
-            obs, reward, done, breakdown = env.step(action)
+            obs, reward, done, record = env.step(action)
             rewards[r, t] = reward
-            lost[r, t] = (1 - breakdown.sfc_status) * breakdown.packets
-            sfc[r, t] = breakdown.sfc_status
-            energy[r, t] = env.step_records[-1].energy_w
+            lost[r, t] = record.lost
+            sfc[r, t] = record.sfc
+            energy[r, t] = record.energy_w
             t += 1
         if r == 0:
             first_records = list(env.step_records)

@@ -54,6 +54,8 @@ class PpoConfig:
             raise ValueError("gamma and gae_lambda must be in [0, 1]")
         if self.clip_epsilon <= 0:
             raise ValueError("clip_epsilon must be > 0")
+        if min(self.n_envs, self.rollout_length, self.minibatches, self.epochs) < 1:
+            raise ValueError("n_envs, rollout_length, minibatches, epochs must be >= 1")
 
 
 class RunningObsStats:
@@ -325,24 +327,19 @@ class TrainLog:
     aborted: bool = False
 
 
-def _obs_vector(obs) -> np.ndarray:
-    return obs.vector() if hasattr(obs, "vector") else np.asarray(obs, dtype=np.float64)
-
-
 def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
           log_env0: bool = True) -> tuple[PolicyNetwork, TrainLog]:
     """Run PPO on environments produced by ``env_factory(index)``.
 
     Rollouts interleave ``n_envs`` environments stepped in a fixed order so
-    results are seed-deterministic. On non-finite parameters, training stops
-    and the last finite parameters are returned with ``log.aborted`` set.
+    results are seed-deterministic; episode totals are read from the envs'
+    ``StepRecord``s. On non-finite parameters, training stops and the last
+    finite parameters are returned with ``log.aborted`` set.
     """
     envs = [env_factory(i) for i in range(config.n_envs)]
     episode_counters = [0] * config.n_envs
-    obs = np.stack([
-        _obs_vector(env.reset(derive_seed(config.seed, f"env{i}", 0)))
-        for i, env in enumerate(envs)
-    ])
+    obs = np.stack([env.reset(derive_seed(config.seed, f"env{i}", 0))
+                    for i, env in enumerate(envs)])
     if policy is None:
         policy = PolicyNetwork(envs[0].obs_dim, envs[0].head_sizes,
                                hidden=config.hidden, seed=config.seed)
@@ -361,10 +358,6 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
 
     n, T = config.n_envs, config.rollout_length
     obs_dim, n_heads = envs[0].obs_dim, len(envs[0].head_sizes)
-    ep_reward = [0.0] * n
-    ep_lost = [0.0] * n
-    ep_sfc = [0] * n
-    ep_len = [0] * n
 
     global_step = 0
     n_updates = max(1, config.total_steps // (n * T))
@@ -389,32 +382,25 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
             buf_values[t] = values
             rewards_t, dones_t = [], []
             for i, (env, comps) in enumerate(zip(envs, components.tolist())):
-                action = env.action_from_components(comps)
-                next_obs, reward, done, info = env.step(action)
+                next_obs, reward, done, record = env.step(
+                    env.action_from_components(comps))
                 rewards_t.append(reward * config.reward_scale)
                 dones_t.append(float(done))
-                ep_reward[i] += reward
-                ep_len[i] += 1
-                if hasattr(info, "sfc_status"):
-                    ep_sfc[i] += info.sfc_status
-                    ep_lost[i] += (1 - info.sfc_status) * info.packets
                 if log_env0 and i == 0:
                     log.env0_steps.append({
                         "step": global_step + t,
                         "reward": reward,
-                        "sfc": getattr(info, "sfc_status", ""),
-                        "packets": getattr(info, "packets", ""),
+                        "sfc": record.sfc,
+                        "packets": record.packets,
                     })
                 if done:
                     log.episodes.append(EpisodeStats(
-                        i, global_step + t, ep_len[i], float(ep_reward[i]),
-                        float(ep_lost[i]), int(ep_sfc[i])))
-                    ep_reward[i] = ep_lost[i] = 0.0
-                    ep_sfc[i] = ep_len[i] = 0
+                        i, global_step + t, record.step + 1, record.cum_reward,
+                        record.cum_lost, sum(r.sfc for r in env.step_records)))
                     episode_counters[i] += 1
                     next_obs = env.reset(
                         derive_seed(config.seed, f"env{i}", episode_counters[i]))
-                obs[i] = _obs_vector(next_obs)
+                obs[i] = next_obs
             buf_rewards[t] = rewards_t
             buf_dones[t] = dones_t
             if normalizer is not None:

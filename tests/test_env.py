@@ -23,8 +23,8 @@ def make_env(trace=None, topo=None, config=None, **failure_kwargs) -> SfcEnv:
 
 def complete_sfc(env):
     for t in range(4):
-        obs, r, d, b = env.step(ActionTuple(1, t, 0, t))
-    return obs, r, d, b
+        obs, r, d, rec = env.step(ActionTuple(1, t, 0, t))
+    return obs, r, d, rec
 
 
 # -------------------------------------------------------------------- reset
@@ -32,8 +32,8 @@ def complete_sfc(env):
 def test_reset_gives_zero_vnf_counts():
     env = make_env()
     obs = env.reset(seed=4)
-    assert np.all(obs.vnf_counts == 0)
-    assert len(obs.cell_activities) == 4
+    assert env.n_cells == 4 and obs.shape == (env.obs_dim,)
+    assert np.all(obs[env.n_cells:] == 0)
 
 
 def test_reference_observation_length_is_476():
@@ -41,7 +41,7 @@ def test_reference_observation_length_is_476():
     env = SfcEnv(trace, Topology(), FailureModel(), EnergyModel(), EnvConfig())
     obs = env.reset(seed=0)
     assert env.obs_dim == 476
-    assert obs.vector().shape == (476,)
+    assert obs.shape == (476,) and obs.dtype == np.float64
 
 
 def test_same_seed_same_trajectory():
@@ -65,30 +65,30 @@ def test_same_seed_same_trajectory():
 def test_first_step_loses_all_packets():
     env = make_env()
     env.reset(seed=0)
-    _, reward, _, b = env.step(NOOP)
+    _, reward, _, rec = env.step(NOOP)
     assert reward == pytest.approx(-400.0)
-    assert b.sfc_status == 0
-    assert b.packet_loss_term == pytest.approx(-400.0)
-    assert b.energy_term == 0.0
+    assert rec.sfc == 0
+    assert rec.lost == pytest.approx(400.0)
+    assert rec.energy_w == 0.0
 
 
 def test_complete_sfc_reward_reference_value():
     env = make_env()
     env.reset(seed=0)
-    _, r, _, b = complete_sfc(env)
-    _, reward, _, b = env.step(NOOP)
+    complete_sfc(env)
+    _, reward, _, rec = env.step(NOOP)
     assert reward == pytest.approx(100.0 - 0.01 * 282.88)
     assert reward == pytest.approx(97.1712)
-    assert b.bonus_term == 100.0
+    assert rec.sfc == 1 and rec.lost == 0.0
 
 
 def test_accepted_restart_costs_one():
     env = make_env()
     env.reset(seed=0)
     complete_sfc(env)
-    _, reward, _, b = env.step(ActionTuple(3, 0, 0, 0))
+    _, reward, _, rec = env.step(ActionTuple(3, 0, 0, 0))
     assert reward == pytest.approx(97.1712 - 1.0)
-    assert b.restart_term == -1.0
+    assert rec.a == 3 and rec.accepted
 
 
 def test_rejected_restart_is_free():
@@ -96,8 +96,8 @@ def test_rejected_restart_is_free():
     env.reset(seed=0)
     complete_sfc(env)
     # no type-2 instance on server (5,0): restart rejected, no penalty
-    _, reward, _, b = env.step(ActionTuple(3, 5, 0, 2))
-    assert b.restart_term == 0.0
+    _, reward, _, rec = env.step(ActionTuple(3, 5, 0, 2))
+    assert rec.a == 3 and not rec.accepted
     assert reward == pytest.approx(97.1712)
 
 
@@ -106,21 +106,27 @@ def test_reward_decomposition_identity_random_steps():
                  FailureModel(mttf_vnf=0.4, mttr_vnf=0.1), EnergyModel(),
                  EnvConfig())
     env.reset(seed=33)
+    cfg = env.config
     rng = np.random.default_rng(14)
     for _ in range(250):
         a = ActionTuple(int(rng.integers(1, 5)), int(rng.integers(10)),
                         int(rng.integers(5)), int(rng.integers(4)))
-        _, reward, done, b = env.step(a)
-        assert b.total == pytest.approx(
-            b.packet_loss_term + b.energy_term + b.restart_term + b.bonus_term,
-            abs=0.0)
+        _, reward, done, rec = env.step(a)
+        assert rec is env.step_records[-1]
+        assert (rec.a, rec.dc, rec.server, rec.vnf_type) == a
+        assert rec.reward == reward
+        restarted = 1 if (a.a == 3 and rec.accepted) else 0
+        assert reward == pytest.approx(
+            -(1 - rec.sfc) * cfg.w_p * rec.packets - cfg.w_e * rec.energy_w
+            - cfg.restart_penalty * restarted + rec.sfc * cfg.f, abs=0.0)
+        assert rec.lost == (1 - rec.sfc) * rec.packets
         # independent recomputation from a rescan of the raw simulator state
         up_types = {inst.vnf_type for server, inst in env.sim.instances()
                     if server.up and inst.up}
         sfc = 1 if len(up_types) == 4 else 0
         energy = sum(70.72 for _, _ in env.sim.instances())
-        assert b.sfc_status == sfc
-        assert b.energy_term == pytest.approx(-0.01 * energy, abs=1e-9)
+        assert rec.sfc == sfc
+        assert rec.energy_w == pytest.approx(energy, abs=1e-7)
         if done:
             break
 
@@ -134,8 +140,8 @@ def test_binary_reward_structure_without_energy():
     for _ in range(150):
         a = ActionTuple(int(rng.integers(1, 5)), int(rng.integers(10)),
                         int(rng.integers(5)), int(rng.integers(4)))
-        _, reward, done, b = env.step(a)
-        assert reward in (pytest.approx(-b.packets), pytest.approx(100.0))
+        _, reward, done, rec = env.step(a)
+        assert reward in (pytest.approx(-rec.packets), pytest.approx(100.0))
         if done:
             break
 
@@ -143,11 +149,11 @@ def test_binary_reward_structure_without_energy():
 def test_deleting_last_instance_of_a_type_breaks_sfc():
     env = make_env()
     env.reset(seed=0)
-    _, _, _, b = complete_sfc(env)
-    assert b.sfc_status == 1
-    _, _, _, b = env.step(ActionTuple(2, 2, 0, 2))  # delete the only MME
-    assert b.sfc_status == 0
-    assert b.packet_loss_term == pytest.approx(-400.0)
+    _, _, _, rec = complete_sfc(env)
+    assert rec.sfc == 1
+    _, _, _, rec = env.step(ActionTuple(2, 2, 0, 2))  # delete the only MME
+    assert rec.sfc == 0
+    assert rec.lost == pytest.approx(400.0)
 
 
 # ------------------------------------------------------------------- actions
@@ -195,7 +201,7 @@ def test_normalized_observation_in_unit_range():
                  EnergyModel(), cfg)
     obs = env.reset(seed=0)
     for i in range(10):
-        assert np.all(obs.vector() >= 0.0) and np.all(obs.vector() <= 1.0)
+        assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
         obs, _, done, _ = env.step(ActionTuple(1, i % 10, i % 5, i % 4))
         if done:
             break
@@ -205,14 +211,14 @@ def test_zero_activity_step_gives_zero_activity_block():
     trace = SteppedTrace([1, 2], np.zeros((5, 2)))
     env = make_env(trace=trace)
     obs = env.reset(seed=0)
-    assert np.all(obs.cell_activities == 0.0)
+    assert np.all(obs[:env.n_cells] == 0.0)
 
 
 def test_single_sgw_sets_one_count_slot():
     env = make_env()
     env.reset(seed=0)
     obs, _, _, _ = env.step(ActionTuple(1, 0, 0, 0))
-    counts = obs.vnf_counts
+    counts = obs[env.n_cells:]
     assert counts[0] == 1  # (dc0, server0, SGW) is the first slot
     assert counts.sum() == 1
 
@@ -241,6 +247,17 @@ def test_episode_length_limits_steps():
     assert steps == 5
 
 
+def test_reset_starts_a_new_step_records_list():
+    env = make_env()
+    env.reset(seed=0)
+    env.step(NOOP)
+    env.step(NOOP)
+    previous = env.step_records
+    env.reset(seed=1)
+    assert env.step_records is not previous and env.step_records == []
+    assert [r.step for r in previous] == [0, 1]
+
+
 def test_training_mode_uses_random_offsets():
     trace = SteppedTrace([1], np.arange(100, dtype=float)[:, None])
     cfg = EnvConfig(episode_length=10)
@@ -248,7 +265,7 @@ def test_training_mode_uses_random_offsets():
     offsets = set()
     for seed in range(8):
         obs = env.reset(seed=seed)
-        offsets.add(float(obs.cell_activities[0]))
+        offsets.add(float(obs[0]))
     assert len(offsets) > 1  # different seeds start at different rows
 
 
@@ -258,7 +275,7 @@ def test_eval_mode_always_starts_at_zero():
     env = make_env(trace=trace, config=cfg)
     for seed in range(4):
         obs = env.reset(seed=seed)
-        assert obs.cell_activities[0] == 0.0
+        assert obs[0] == 0.0
 
 
 def test_step_trace_export_schema(tmp_path):

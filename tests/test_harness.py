@@ -250,10 +250,22 @@ def test_cli_generate_trace_exit_zero(tmp_path):
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
-def test_cli_bad_config_exit_one(tmp_path):
+@pytest.mark.parametrize("data", [
+    pytest.param({"trace": {"bogus": 1}}, id="unknown_key"),
+    pytest.param({"env": {"episode_length": 0}}, id="episode_length_0"),
+    pytest.param({"env": {"episode_length": -3}}, id="episode_length_negative"),
+    pytest.param({"env": {"activity_scale": -1.0}}, id="activity_scale_negative"),
+    pytest.param({"env": {"activity_scale": 0.0}}, id="activity_scale_0"),
+    pytest.param({"ppo": {"n_envs": 0}}, id="n_envs_0"),
+    pytest.param({"ppo": {"rollout_length": 0}}, id="rollout_length_0"),
+    pytest.param({"ppo": {"minibatches": 0}}, id="minibatches_0"),
+    pytest.param({"ppo": {"epochs": 0}}, id="epochs_0"),
+])
+def test_cli_bad_config_exit_one(tmp_path, capsys, data):
     cfg_path = tmp_path / "exp.yaml"
-    cfg_path.write_text(yaml.safe_dump({"trace": {"bogus": 1}}))
+    cfg_path.write_text(yaml.safe_dump(data))
     assert cli_main(["generate-trace", "--config", str(cfg_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_missing_config_exit_one(tmp_path):

@@ -78,7 +78,7 @@ def test_ppo_policy_greedy_matches_mode():
     net = PolicyNetwork(env.obs_dim, env.head_sizes, seed=8)
     policy = PpoPolicy(net, greedy=True)
     action = policy.act(obs, env)
-    comps = net.mode(obs.vector()[None, :])[0]
+    comps = net.mode(obs[None, :])[0]
     assert action == env.action_from_components(comps)
 
 
