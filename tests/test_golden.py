@@ -9,6 +9,9 @@ the sequential per-DC sum with ``n * watts`` fails them. The training
 digest covers a short seeded PPO run on the same topology: final
 parameters, observation statistics and every logged update, episode and
 env-0 step, so a change anywhere in the rollout or the learner shows up.
+The clustering digests cover the elbow scan over k = 1..50 of two seeded
+synthetic traces, one ``kmeans_fit`` and two Lloyd runs whose init leaves
+clusters empty, so that the empty-cluster repair runs.
 """
 
 import hashlib
@@ -17,6 +20,8 @@ import numpy as np
 import pytest
 
 from sfcsim import ppo
+from sfcsim.clustering import (_lloyd, compute_period_profiles, elbow_scan,
+                               kmeans_fit)
 from sfcsim.env import EnvConfig, SfcEnv, write_step_records
 from sfcsim.policies import make_baseline, evaluate_policy
 from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SimState,
@@ -42,6 +47,11 @@ GOLDEN = {
     "event_log": "5f598d78cd745d98e1bbf1b0cdf613570870fb756dfd170eb8e03123b201ea9e",
     "walk_energy": "4543750ec1864d662bea5f4b41e04ab06fe119e23dc1873fe289d00810fb2b48",
     "training": "d7e219ce839bfd1224d2c27b92707896e3e8b1233f62c8b7772ec5ee032c4e72",
+    "clustering": {
+        "elbow_scans": "eff31ea390157f2984ed12b26eb1dbf1fa7b195031f56bb92ba12f97e0b0cd2e",
+        "kmeans_fit": "c6586a98ec8869f50297fd0812fc2bdb3b07bd3238378a2e3678fa3e906c3d36",
+        "empty_repair": "6cb611841073591b2f264850ae41cdc4c285f26f0929b039887aa4367a02e732",
+    },
 }
 
 
@@ -100,3 +110,28 @@ def test_training_run_is_pinned():
     stats = b"".join(a.tobytes() for a in policy.obs_stats)
     logs = "\n".join(map(repr, (log.updates, log.episodes, log.env0_steps)))
     assert sha(params + stats + logs.encode()) == GOLDEN["training"]
+
+
+def clustering_points(seed: int):
+    profiles = compute_period_profiles(generate_synthetic_trace(80, 2 * 288, seed=seed))
+    return profiles, np.stack([p.features for p in profiles])
+
+
+def test_clustering_is_pinned():
+    scans = [elbow_scan(clustering_points(seed)[0], (1, 50), seed=seed + 1)
+             for seed in (31, 32)]
+    profiles, points = clustering_points(31)
+    model = kmeans_fit(profiles, 12, seed=4)
+    fit = (model.centroids.tobytes() + repr(sorted(model.assignments.items())).encode()
+           + repr(model.sse).encode())
+    repaired = []
+    for far in ([2], [1, 3]):
+        init = points[:4].copy()
+        init[far] = 1e6
+        d2 = ((points[:, None, :] - init[None]) ** 2).sum(axis=2)
+        assert not np.isin(d2.argmin(axis=1), far).any()  # those clusters start empty
+        centroids, labels, sse = _lloyd(points, init, 300, 1e-6)
+        assert centroids.max() < 1e6
+        repaired.append(centroids.tobytes() + labels.tobytes() + repr(sse).encode())
+    assert {"elbow_scans": sha(repr(scans).encode()), "kmeans_fit": sha(fit),
+            "empty_repair": sha(b"".join(repaired))} == GOLDEN["clustering"]
