@@ -34,6 +34,8 @@ class PeriodProfile:
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
         if self.features.shape != (N_PERIODS,):
             raise ValueError(f"profiles need exactly {N_PERIODS} features")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError("features must be finite")
         if np.any(self.features < 0):
             raise ValueError("features must be nonnegative")
 
@@ -87,20 +89,44 @@ def compute_period_profiles(trace, utc_offset_hours: float = 1.0) -> list[Period
     return [PeriodProfile(cell, features[i]) for i, cell in enumerate(trace.cell_ids)]
 
 
+def _sq_dist(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every point to every centroid, (n, k).
+
+    The squared differences are added one feature at a time, left to right.
+    numpy sums a last axis shorter than 8 in that same order, so for
+    N_PERIODS (6) features this equals
+    ``np.sum((points[:, None, :] - centroids[None]) ** 2, axis=2)`` bit for
+    bit. With 8 or more features numpy sums pairwise and the two differ.
+    """
+    acc = points[:, 0, None] - centroids[:, 0]
+    acc *= acc
+    for c in range(1, points.shape[1]):
+        d = points[:, c, None] - centroids[:, c]
+        d *= d
+        acc += d
+    return acc
+
+
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ style seeding: spread initial centroids by squared distance."""
+    """k-means++ style seeding: spread initial centroids by squared distance.
+
+    Each centroid is drawn with ``Generator.choice(n, p=probs)``'s own
+    algorithm (the cdf searched at one ``rng.random()``), so it takes the
+    same draws from the same stream without choice's checks.
+    """
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    dist2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    dist2 = _sq_dist(points, centroids[:1])[:, 0]
     for i in range(1, k):
         total = dist2.sum()
         if total <= 0.0:
             centroids[i:] = points[rng.integers(n, size=k - i)]
             break
-        probs = dist2 / total
-        centroids[i] = points[rng.choice(n, p=probs)]
-        dist2 = np.minimum(dist2, np.sum((points - centroids[i]) ** 2, axis=1))
+        cdf = (dist2 / total).cumsum()
+        cdf /= cdf[-1]
+        centroids[i] = points[cdf.searchsorted(rng.random(), side="right")]
+        dist2 = np.minimum(dist2, _sq_dist(points, centroids[i:i + 1])[:, 0])
     return centroids
 
 
@@ -109,28 +135,39 @@ def _lloyd(points: np.ndarray, init: np.ndarray, max_iter: int,
     """Lloyd's iterations from a given init; returns (centroids, labels, sse).
 
     Ties in the nearest-centroid assignment break toward the lowest cluster
-    index (argmin). An emptied cluster is repaired by moving its centroid to
-    the point farthest from its assigned centroid.
+    index (argmin). Each centroid is the mean of its members, summed in row
+    order by ``np.bincount`` as ``mean(axis=0)`` sums them. An emptied
+    cluster is repaired by moving its centroid to the point farthest from
+    its assigned centroid.
     """
     centroids = init.copy()
     k = centroids.shape[0]
     for _ in range(max_iter):
-        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        d2 = _sq_dist(points, centroids)
         labels = np.argmin(d2, axis=1)
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = points[labels == j]
-            if len(members):
-                new_centroids[j] = members.mean(axis=0)
-            else:
-                farthest = np.argmax(d2[np.arange(len(points)), labels])
-                new_centroids[j] = points[farthest]
-                labels[farthest] = j
+        counts = np.bincount(labels, minlength=k)
+        if counts.all():
+            new_centroids = np.empty_like(centroids)
+            for c in range(points.shape[1]):
+                new_centroids[:, c] = np.bincount(labels, points[:, c], minlength=k)
+            new_centroids /= counts[:, None]
+        else:
+            # The repair relabels points partway through, so later clusters
+            # see the updated labels.
+            new_centroids = centroids.copy()
+            for j in range(k):
+                members = points[labels == j]
+                if len(members):
+                    new_centroids[j] = members.mean(axis=0)
+                else:
+                    farthest = np.argmax(d2[np.arange(len(points)), labels])
+                    new_centroids[j] = points[farthest]
+                    labels[farthest] = j
         shift = np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1)))
         centroids = new_centroids
         if shift < tol:
             break
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    d2 = _sq_dist(points, centroids)
     labels = np.argmin(d2, axis=1)
     sse = float(d2[np.arange(len(points)), labels].sum())
     return centroids, labels, sse
@@ -175,7 +212,7 @@ def elbow_scan(profiles: list[PeriodProfile], k_range: tuple[int, int],
         model = kmeans_fit(profiles, k, seed, n_restarts=n_restarts)
         best = (model.centroids, model.sse)
         if prev_centroids is not None and prev_centroids.shape[0] == k - 1:
-            d2 = np.sum((points[:, None, :] - prev_centroids[None, :, :]) ** 2, axis=2)
+            d2 = _sq_dist(points, prev_centroids)
             worst = np.argmax(d2.min(axis=1))
             warm = np.vstack([prev_centroids, points[worst]])
             centroids, _, sse = _lloyd(points, warm, 300, 1e-6)

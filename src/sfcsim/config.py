@@ -46,11 +46,22 @@ class ClusterConfig:
     model_path: str | None = None
     select_index: int | None = None
 
+    def __post_init__(self):
+        # k_max may exceed the number of cells: cmd_cluster clamps it.
+        if min(self.k, self.k_min, self.k_max) < 1:
+            raise ValueError("k, k_min and k_max must be >= 1")
+        if self.k_min > self.k_max:
+            raise ValueError("k_min must be <= k_max")
+
 
 @dataclass
 class EvalSettings:
     n_runs: int = 100
     quick_runs: int = 10
+
+    def __post_init__(self):
+        if min(self.n_runs, self.quick_runs) < 1:
+            raise ValueError("n_runs and quick_runs must be >= 1")
 
 
 @dataclass

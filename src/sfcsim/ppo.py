@@ -56,6 +56,8 @@ class PpoConfig:
             raise ValueError("clip_epsilon must be > 0")
         if min(self.n_envs, self.rollout_length, self.minibatches, self.epochs) < 1:
             raise ValueError("n_envs, rollout_length, minibatches, epochs must be >= 1")
+        if self.total_steps < 0:
+            raise ValueError("total_steps must be >= 0")
 
 
 class RunningObsStats:

@@ -62,6 +62,12 @@ def test_profiles_require_six_nonnegative_features():
         PeriodProfile(1, [-1, 0, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_profiles_reject_non_finite_features(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PeriodProfile(1, [0, 1, bad, 0, 0, 0])
+
+
 # ----------------------------------------------------------------- k-means
 
 def blob_profiles(rng, centers, n_per, sigma):

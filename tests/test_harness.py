@@ -260,6 +260,13 @@ def test_cli_generate_trace_exit_zero(tmp_path):
     pytest.param({"ppo": {"rollout_length": 0}}, id="rollout_length_0"),
     pytest.param({"ppo": {"minibatches": 0}}, id="minibatches_0"),
     pytest.param({"ppo": {"epochs": 0}}, id="epochs_0"),
+    pytest.param({"ppo": {"total_steps": -5}}, id="total_steps_negative"),
+    pytest.param({"cluster": {"k": 0}}, id="cluster_k_0"),
+    pytest.param({"cluster": {"k_min": 0}}, id="cluster_k_min_0"),
+    pytest.param({"cluster": {"k_max": 0}}, id="cluster_k_max_0"),
+    pytest.param({"cluster": {"k_min": 5, "k_max": 4}}, id="cluster_k_min_above_k_max"),
+    pytest.param({"eval": {"n_runs": 0}}, id="eval_n_runs_0"),
+    pytest.param({"eval": {"quick_runs": 0}}, id="eval_quick_runs_0"),
 ])
 def test_cli_bad_config_exit_one(tmp_path, capsys, data):
     cfg_path = tmp_path / "exp.yaml"
