@@ -90,108 +90,138 @@ def compute_period_profiles(trace, utc_offset_hours: float = 1.0) -> list[Period
 
 
 def _sq_dist(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from every point to every centroid, (n, k).
+    """Squared Euclidean distance from every point to every centroid.
 
-    The squared differences are added one feature at a time, left to right.
-    numpy sums a last axis shorter than 8 in that same order, so for
-    N_PERIODS (6) features this equals
+    ``centroids`` is (k, d), giving (n, k), or (R, k, d) for R restarts at
+    once, giving (R, n, k). The squared differences are added one feature at
+    a time, left to right. numpy sums a last axis shorter than 8 in that
+    same order, so for N_PERIODS (6) features this equals
     ``np.sum((points[:, None, :] - centroids[None]) ** 2, axis=2)`` bit for
     bit. With 8 or more features numpy sums pairwise and the two differ.
     """
-    acc = points[:, 0, None] - centroids[:, 0]
+    acc = points[:, 0, None] - centroids[..., None, :, 0]
     acc *= acc
     for c in range(1, points.shape[1]):
-        d = points[:, c, None] - centroids[:, c]
+        d = points[:, c, None] - centroids[..., None, :, c]
         d *= d
         acc += d
     return acc
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ style seeding: spread initial centroids by squared distance.
+def _kmeans_pp_init(points: np.ndarray, k: int,
+                    rngs: list[np.random.Generator]) -> np.ndarray:
+    """k-means++ seeding of one restart per generator, all at once: (R, k, d).
 
     Each centroid is drawn with ``Generator.choice(n, p=probs)``'s own
-    algorithm (the cdf searched at one ``rng.random()``), so it takes the
-    same draws from the same stream without choice's checks.
+    algorithm: the cdf searched at one ``rng.random()``, where counting the
+    cdf values ``<= u`` is ``searchsorted(side="right")`` on a non-decreasing
+    cdf. So every restart takes the same draws from its own stream as if it
+    were seeded alone. A restart whose distances are all zero draws its
+    remaining centroids uniformly and leaves the batch.
     """
     n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    dist2 = _sq_dist(points, centroids[:1])[:, 0]
+    centroids = np.empty((len(rngs), k, points.shape[1]))
+    centroids[:, 0] = points[[rng.integers(n) for rng in rngs]]
+    live = np.arange(len(rngs))
+    dist2 = _sq_dist(points, centroids[:, :1])[..., 0]
     for i in range(1, k):
-        total = dist2.sum()
-        if total <= 0.0:
-            centroids[i:] = points[rng.integers(n, size=k - i)]
-            break
-        cdf = (dist2 / total).cumsum()
-        cdf /= cdf[-1]
-        centroids[i] = points[cdf.searchsorted(rng.random(), side="right")]
-        dist2 = np.minimum(dist2, _sq_dist(points, centroids[i:i + 1])[:, 0])
+        total = dist2.sum(axis=1)
+        spent = total <= 0.0
+        if spent.any():
+            for r in live[spent]:
+                centroids[r, i:] = points[rngs[r].integers(n, size=k - i)]
+            live, dist2, total = live[~spent], dist2[~spent], total[~spent]
+            if not len(live):
+                break
+        cdf = (dist2 / total[:, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rngs[r].random() for r in live])
+        centroids[live, i] = points[(cdf <= u[:, None]).sum(axis=1)]
+        dist2 = np.minimum(dist2, _sq_dist(points, centroids[live, i:i + 1])[..., 0])
     return centroids
 
 
-def _lloyd(points: np.ndarray, init: np.ndarray, max_iter: int,
-           tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd's iterations from a given init; returns (centroids, labels, sse).
+def _lloyd(points: np.ndarray, inits: np.ndarray, max_iter: int,
+           tol: float) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Lloyd's iterations of R restarts in lockstep from inits (R, k, d).
+
+    Returns (centroids (R, k, d), labels (R, n), sse: R floats), each
+    restart exactly as if it ran alone: it stops after its own first
+    centroid shift below ``tol``, or after ``max_iter`` iterations.
 
     Ties in the nearest-centroid assignment break toward the lowest cluster
     index (argmin). Each centroid is the mean of its members, summed in row
-    order by ``np.bincount`` as ``mean(axis=0)`` sums them. An emptied
-    cluster is repaired by moving its centroid to the point farthest from
-    its assigned centroid.
+    order by ``np.bincount`` as ``mean(axis=0)`` sums them; bin ``r*k + j``
+    holds cluster j of restart r. An emptied cluster is repaired by moving
+    its centroid to the point farthest from its assigned centroid.
     """
-    centroids = init.copy()
-    k = centroids.shape[0]
+    n_restarts, k, n_features = inits.shape
+    n = len(points)
+    centroids = inits.copy()
+    columns = np.tile(points.T, n_restarts)  # each feature, once per restart
+    live = np.arange(n_restarts)
+    final_d2 = np.empty((n_restarts, n, k))
+    stale = np.ones(n_restarts, dtype=bool)  # final_d2 still to be computed
     for _ in range(max_iter):
-        d2 = _sq_dist(points, centroids)
-        labels = np.argmin(d2, axis=1)
-        counts = np.bincount(labels, minlength=k)
-        if counts.all():
-            new_centroids = np.empty_like(centroids)
-            for c in range(points.shape[1]):
-                new_centroids[:, c] = np.bincount(labels, points[:, c], minlength=k)
-            new_centroids /= counts[:, None]
-        else:
+        current = centroids[live]
+        d2 = _sq_dist(points, current)
+        labels = np.argmin(d2, axis=2)
+        bins = (labels + np.arange(0, len(live) * k, k)[:, None]).ravel()
+        counts = np.bincount(bins, minlength=len(live) * k).reshape(-1, k, 1)
+        new = np.empty_like(current)
+        for c in range(n_features):
+            new[..., c] = np.bincount(bins, columns[c, :len(bins)],
+                                      minlength=len(live) * k).reshape(-1, k)
+        np.divide(new, counts, out=new, where=counts > 0)
+        for r in np.flatnonzero((counts == 0).any(axis=(1, 2))):
             # The repair relabels points partway through, so later clusters
             # see the updated labels.
-            new_centroids = centroids.copy()
+            new[r] = current[r]
             for j in range(k):
-                members = points[labels == j]
+                members = points[labels[r] == j]
                 if len(members):
-                    new_centroids[j] = members.mean(axis=0)
+                    new[r, j] = members.mean(axis=0)
                 else:
-                    farthest = np.argmax(d2[np.arange(len(points)), labels])
-                    new_centroids[j] = points[farthest]
-                    labels[farthest] = j
-        shift = np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1)))
-        centroids = new_centroids
-        if shift < tol:
+                    farthest = np.argmax(d2[r, np.arange(n), labels[r]])
+                    new[r, j] = points[farthest]
+                    labels[r, farthest] = j
+        shift = np.max(np.sqrt(np.sum((new - current) ** 2, axis=2)), axis=1)
+        centroids[live] = new
+        # Centroids that did not move have this iteration's distances as
+        # their final ones.
+        still = shift == 0
+        final_d2[live[still]] = d2[still]
+        stale[live] = ~still
+        live = live[~(shift < tol)]
+        if not len(live):
             break
-    d2 = _sq_dist(points, centroids)
-    labels = np.argmin(d2, axis=1)
-    sse = float(d2[np.arange(len(points)), labels].sum())
-    return centroids, labels, sse
+    final_d2[stale] = _sq_dist(points, centroids[stale])
+    labels = np.argmin(final_d2, axis=2)
+    sse = np.take_along_axis(final_d2, labels[..., None], axis=2)[..., 0].sum(axis=1)
+    return centroids, labels, sse.tolist()
 
 
 def kmeans_fit(profiles: list[PeriodProfile], k: int, seed: int,
                max_iter: int = 300, tol: float = 1e-6,
                n_restarts: int = 10) -> ClusterModel:
-    """Best-of-n-restarts K-means over period profiles; deterministic per seed."""
+    """Best-of-n-restarts K-means over period profiles; deterministic per seed.
+
+    The restarts are seeded and iterated in lockstep; a tie in the SSE goes
+    to the lowest restart.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > len(profiles):
         raise ValueError("k cannot exceed the number of profiles")
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be >= 1")
     points = np.stack([p.features for p in profiles])
-    best = None
-    for restart in range(n_restarts):
-        rng = entity_rng(seed, 10, k, restart)
-        init = _kmeans_pp_init(points, k, rng)
-        centroids, labels, sse = _lloyd(points, init, max_iter, tol)
-        if best is None or sse < best[2]:
-            best = (centroids, labels, sse)
-    centroids, labels, sse = best
-    assignments = {p.cell_id: int(labels[i]) for i, p in enumerate(profiles)}
-    return ClusterModel(k, centroids, assignments, sse, seed)
+    rngs = [entity_rng(seed, 10, k, restart) for restart in range(n_restarts)]
+    centroids, labels, sse = _lloyd(points, _kmeans_pp_init(points, k, rngs),
+                                    max_iter, tol)
+    best = int(np.argmin(sse))
+    assignments = dict(zip([p.cell_id for p in profiles], labels[best].tolist()))
+    return ClusterModel(k, centroids[best], assignments, sse[best], seed)
 
 
 def elbow_scan(profiles: list[PeriodProfile], k_range: tuple[int, int],
@@ -215,9 +245,9 @@ def elbow_scan(profiles: list[PeriodProfile], k_range: tuple[int, int],
             d2 = _sq_dist(points, prev_centroids)
             worst = np.argmax(d2.min(axis=1))
             warm = np.vstack([prev_centroids, points[worst]])
-            centroids, _, sse = _lloyd(points, warm, 300, 1e-6)
-            if sse < best[1]:
-                best = (centroids, sse)
+            centroids, _, sse = _lloyd(points, warm[None], 300, 1e-6)
+            if sse[0] < best[1]:
+                best = (centroids[0], sse[0])
         results.append((k, best[1]))
         prev_centroids = best[0]
     return results

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sfcsim.clustering import (ClusterModel, PeriodProfile,
+from sfcsim.clustering import (ClusterModel, PeriodProfile, _kmeans_pp_init,
                                compute_period_profiles, elbow_scan,
                                kmeans_fit, select_cells, suggest_elbow_k)
+from sfcsim.seeding import entity_rng
 from sfcsim.trace import SteppedTrace
 
 STEPS_PER_DAY = 288  # 5-minute steps
@@ -170,6 +171,28 @@ def test_k_bounds_validated():
         kmeans_fit(profiles, k=0, seed=0)
 
 
+@pytest.mark.parametrize("n_restarts", [0, -1])
+def test_kmeans_fit_rejects_no_restarts(n_restarts):
+    profiles = [PeriodProfile(i + 1, np.full(6, float(i))) for i in range(3)]
+    with pytest.raises(ValueError, match="n_restarts must be >= 1"):
+        kmeans_fit(profiles, k=2, seed=0, n_restarts=n_restarts)
+
+
+def test_sse_tie_goes_to_restart_zero():
+    """Four pairs of identical profiles: every restart puts each pair in its
+    own cluster (SSE 0.0) but seeds the clusters in its own order, and the
+    fit keeps restart 0's order, as a strict ``<`` over the restarts does."""
+    rows = np.repeat(np.arange(4.0)[:, None] * np.ones(6), 2, axis=0)
+    profiles = [PeriodProfile(i + 1, row) for i, row in enumerate(rows)]
+    inits = _kmeans_pp_init(rows, 4, [entity_rng(1, 10, 4, r) for r in range(10)])
+    assert not np.array_equal(inits[0], inits[-1])  # the orders differ
+    model = kmeans_fit(profiles, k=4, seed=1)
+    assert model.sse == 0.0
+    assert np.array_equal(model.centroids, inits[0])
+    assert np.array_equal(model.centroids,
+                          kmeans_fit(profiles, k=4, seed=1, n_restarts=1).centroids)
+
+
 # -------------------------------------------------------------------- elbow
 
 def test_elbow_single_k_matches_fit():
@@ -186,6 +209,13 @@ def test_elbow_sse_non_increasing():
     scan = elbow_scan(profiles, (1, 12), seed=6)
     sses = [s for _, s in scan]
     assert all(sses[i + 1] <= sses[i] + 1e-12 for i in range(len(sses) - 1))
+
+
+@pytest.mark.parametrize("n_restarts", [0, -1])
+def test_elbow_scan_rejects_no_restarts(n_restarts):
+    profiles = [PeriodProfile(i + 1, np.full(6, float(i))) for i in range(3)]
+    with pytest.raises(ValueError, match="n_restarts must be >= 1"):
+        elbow_scan(profiles, (1, 3), seed=0, n_restarts=n_restarts)
 
 
 def test_elbow_knee_found_on_planted_blobs():

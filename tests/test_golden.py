@@ -130,7 +130,7 @@ def test_clustering_is_pinned():
         init[far] = 1e6
         d2 = ((points[:, None, :] - init[None]) ** 2).sum(axis=2)
         assert not np.isin(d2.argmin(axis=1), far).any()  # those clusters start empty
-        centroids, labels, sse = _lloyd(points, init, 300, 1e-6)
+        centroids, labels, sse = (a[0] for a in _lloyd(points, init[None], 300, 1e-6))
         assert centroids.max() < 1e6
         repaired.append(centroids.tobytes() + labels.tobytes() + repr(sse).encode())
     assert {"elbow_scans": sha(repr(scans).encode()), "kmeans_fit": sha(fit),
