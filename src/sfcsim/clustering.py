@@ -154,18 +154,21 @@ def _lloyd(points: np.ndarray, inits: np.ndarray, max_iter: int,
     order by ``np.bincount`` as ``mean(axis=0)`` sums them; bin ``r*k + j``
     holds cluster j of restart r. An emptied cluster is repaired by moving
     its centroid to the point farthest from its assigned centroid.
+
+    The (R, n, k) distance table is kept across iterations: only the columns
+    of centroids whose bits changed are recomputed, since a column depends
+    on its centroid alone.
     """
     n_restarts, k, n_features = inits.shape
     n = len(points)
     centroids = inits.copy()
     columns = np.tile(points.T, n_restarts)  # each feature, once per restart
     live = np.arange(n_restarts)
-    final_d2 = np.empty((n_restarts, n, k))
-    stale = np.ones(n_restarts, dtype=bool)  # final_d2 still to be computed
+    d2 = _sq_dist(points, centroids)
     for _ in range(max_iter):
         current = centroids[live]
-        d2 = _sq_dist(points, current)
-        labels = np.argmin(d2, axis=2)
+        # d2[live] copies the table: index it only once some restarts left.
+        labels = np.argmin(d2[live] if len(live) < n_restarts else d2, axis=2)
         bins = (labels + np.arange(0, len(live) * k, k)[:, None]).ravel()
         counts = np.bincount(bins, minlength=len(live) * k).reshape(-1, k, 1)
         new = np.empty_like(current)
@@ -182,22 +185,18 @@ def _lloyd(points: np.ndarray, inits: np.ndarray, max_iter: int,
                 if len(members):
                     new[r, j] = members.mean(axis=0)
                 else:
-                    farthest = np.argmax(d2[r, np.arange(n), labels[r]])
+                    farthest = np.argmax(d2[live[r], np.arange(n), labels[r]])
                     new[r, j] = points[farthest]
                     labels[r, farthest] = j
         shift = np.max(np.sqrt(np.sum((new - current) ** 2, axis=2)), axis=1)
         centroids[live] = new
-        # Centroids that did not move have this iteration's distances as
-        # their final ones.
-        still = shift == 0
-        final_d2[live[still]] = d2[still]
-        stale[live] = ~still
+        mr, mj = np.nonzero((new != current).any(axis=2))
+        d2[live[mr], :, mj] = _sq_dist(points, new[mr, mj]).T
         live = live[~(shift < tol)]
         if not len(live):
             break
-    final_d2[stale] = _sq_dist(points, centroids[stale])
-    labels = np.argmin(final_d2, axis=2)
-    sse = np.take_along_axis(final_d2, labels[..., None], axis=2)[..., 0].sum(axis=1)
+    labels = np.argmin(d2, axis=2)
+    sse = np.take_along_axis(d2, labels[..., None], axis=2)[..., 0].sum(axis=1)
     return centroids, labels, sse.tolist()
 
 

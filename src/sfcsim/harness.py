@@ -114,6 +114,9 @@ def cmd_generate_trace(cfg: ExperimentConfig, out_dir: Path) -> Path:
 def cmd_cluster(cfg: ExperimentConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     tr = build_trace(cfg)
+    if cfg.cluster.k_min > tr.n_cells:
+        raise ConfigError(f"cluster.k_min ({cfg.cluster.k_min}) exceeds the "
+                          f"number of cells ({tr.n_cells})")
     profiles = clustering.compute_period_profiles(tr, cfg.cluster.utc_offset_hours)
     k_max = min(cfg.cluster.k_max, len(profiles))
     scan = clustering.elbow_scan(profiles, (cfg.cluster.k_min, k_max),

@@ -269,3 +269,73 @@ def test_batched_lloyd_restarts_converge_at_different_iterations(max_iter, tol):
     for cut in ((1, 1e-6), (2, 1e-6), (300, 1.5)):
         assert not np.array_equal(single_lloyd(points, inits[1], *cut)[0], converged)
     assert_lloyd_matches(points, inits, max_iter, tol)
+
+
+# ------------------------------------------- distance columns kept across iterations
+
+def oracle_iterations(points, init, n):
+    """Centroids after 0, 1, ..., n oracle iterations that never stop early."""
+    return [init] + [single_lloyd(points, init, m, 0.0)[0] for m in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_batched_lloyd_refreshes_each_moved_centroid(tol):
+    """Centroid 0 of restart 0 moves from 0 to 1.5e-162 while its other
+    centroids stay put: the move is a bit change whose squared shift
+    underflows to 0, so the restart's shift is 0 (and below tol 1e-6)
+    although its distances to that centroid changed. Its other clusters
+    have no spread, so a stale column would add 1e-323 to the SSE. In
+    restart 1 only centroid 2 moves, by a visible amount."""
+    points = np.zeros((6, N_PERIODS))
+    points[1, 0] = 3e-162
+    points[2] = 10.0
+    points[3:, 1] = 1000.0
+    inits = np.stack([points[[0, 2, 3]], points[[0, 2, 3]]])
+    inits[1, 0] = points[:2].mean(axis=0)
+    inits[1, 2, 1] = 990.0
+    after = [single_lloyd(points, init, 1, 0.0)[0] for init in inits]
+    assert [(a != i).any(axis=1).tolist() for a, i in zip(after, inits)] == [
+        [True, False, False], [False, False, True]]
+    assert np.max(np.sqrt(np.sum((after[0] - inits[0]) ** 2, axis=1))) == 0.0
+    assert_lloyd_matches(points, inits, 300, tol)
+
+
+def test_batched_lloyd_refreshes_on_the_exit_iteration():
+    """Restart 0 stops after an iteration whose shift is above 0 but below
+    tol, so the columns refreshed on that iteration are its final ones."""
+    points = np.random.default_rng(5).uniform(0, 10, (40, N_PERIODS))
+    inits = np.stack([points[:5], points[5:10]])
+    tol = 1.0
+    steps = oracle_iterations(points, inits[0], 4)
+    shifts = [np.max(np.sqrt(np.sum((b - a) ** 2, axis=1)))
+              for a, b in zip(steps, steps[1:])]
+    exit_shift = next(s for s in shifts if s < tol)
+    assert 0.0 < exit_shift < tol
+    assert_lloyd_matches(points, inits, 300, tol)
+
+
+def test_batched_lloyd_one_restart_leaves_while_others_iterate():
+    """The middle restart starts at its fixed point and leaves after one
+    iteration; the outer two keep iterating around the gap."""
+    points = np.random.default_rng(6).uniform(0, 10, (40, N_PERIODS))
+    fixed, _, _ = single_lloyd(points, points[:4], 300, 1e-6)
+    inits = np.stack([points[4:8], fixed, points[8:12]])
+    assert np.array_equal(single_lloyd(points, fixed, 1, 1e-6)[0], fixed)
+    for init in inits[[0, 2]]:
+        assert not np.array_equal(single_lloyd(points, init, 2, 0.0)[0],
+                                  single_lloyd(points, init, 1, 0.0)[0])
+    assert_lloyd_matches(points, inits, 300, 1e-6)
+
+
+def test_batched_lloyd_repairs_after_the_batch_shrank():
+    """Restart 0 starts at its fixed point and leaves after iteration 0.
+    Restart 1 first empties a cluster in iteration 2, so its repair runs
+    in a batch of one whose table row is not row 0."""
+    points = np.zeros((6, N_PERIODS))
+    points[:, :2] = [[1, 1], [3, 7], [2, 8], [0, 9], [0, 8], [0, 4]]
+    fixed, _, _ = single_lloyd(points, points[[0, 1, 5]], 300, 1e-6)
+    inits = np.stack([fixed, points[[4, 1, 3]]])
+    assert np.array_equal(single_lloyd(points, fixed, 1, 1e-6)[0], fixed)
+    steps = oracle_iterations(points, inits[1], 2)
+    assert [starts_with_empty_cluster(points, c) for c in steps] == [False, False, True]
+    assert_lloyd_matches(points, inits, 300, 1e-6)

@@ -275,6 +275,18 @@ def test_cli_bad_config_exit_one(tmp_path, capsys, data):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_cli_cluster_k_min_above_cell_count_exit_one(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.yaml"
+    save_config(tiny_config(trace={"n_cells": 5, "n_steps": 576},
+                            cluster={"k_min": 8}), cfg_path)
+    code = cli_main(["cluster", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error: cluster.k_min (8) exceeds the number of cells (5)" in err
+    assert "Traceback" not in err
+
+
 def test_cli_missing_config_exit_one(tmp_path):
     assert cli_main(["cluster", "--config", str(tmp_path / "nope.yaml")]) == 1
 
