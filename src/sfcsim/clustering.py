@@ -20,7 +20,7 @@ PERIOD_NAMES = ("late_night", "early_morning", "morning",
                 "afternoon", "evening", "night")
 N_PERIODS = 6
 _PERIOD_HOURS = 4
-_SECONDS_PER_DAY = 86_400
+SECONDS_PER_DAY = 86_400
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,12 @@ def compute_period_profiles(trace, utc_offset_hours: float = 1.0) -> list[Period
     local days in which that period occurs.
     """
     span_s = trace.n_steps * trace.step_duration
-    if span_s < _SECONDS_PER_DAY:
+    if span_s < SECONDS_PER_DAY:
         raise ValueError("trace must cover at least one full day")
     local_s = (trace.origin_time_ms / 1000.0 + utc_offset_hours * 3600.0
                + np.arange(trace.n_steps) * trace.step_duration)
-    periods = ((local_s % _SECONDS_PER_DAY) // (_PERIOD_HOURS * 3600)).astype(int)
-    days = (local_s // _SECONDS_PER_DAY).astype(int)
+    periods = ((local_s % SECONDS_PER_DAY) // (_PERIOD_HOURS * 3600)).astype(int)
+    days = (local_s // SECONDS_PER_DAY).astype(int)
     features = np.zeros((trace.n_cells, N_PERIODS))
     for p in range(N_PERIODS):
         mask = periods == p

@@ -36,6 +36,12 @@ class TraceConfig:
     mean_step_total: float = 400.0
     split_fraction: float = 0.9
 
+    def __post_init__(self):
+        if min(self.n_cells, self.n_steps, self.step_duration) < 1:
+            raise ValueError("n_cells, n_steps and step_duration must be >= 1")
+        if not 0.0 < self.split_fraction < 1.0:
+            raise ValueError("split_fraction must be in (0, 1)")
+
 
 @dataclass
 class ClusterConfig:
@@ -96,13 +102,8 @@ def _build_section(cls, data: dict, section: str):
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key == "hidden" and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
     try:
-        return cls(**kwargs)
+        return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid [{section}] section: {exc}") from exc
 
@@ -126,9 +127,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    data = dataclasses.asdict(cfg)
-    data["ppo"]["hidden"] = list(data["ppo"]["hidden"])
-    return data
+    return dataclasses.asdict(cfg)
 
 
 def load_config(path) -> ExperimentConfig:

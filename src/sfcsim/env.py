@@ -1,9 +1,10 @@
 """Reinforcement-learning environment over the data-center simulator.
 
-One step covers one 5-minute traffic window: the agent's action is applied,
-failure/repair events inside the window are processed, and the reward
-combines lost packets (when the service chain is incomplete), the energy
-drawn by allocated VNFs, a small restart penalty, and a completion bonus:
+One step covers one trace step (``trace.step_duration``, 5 minutes by
+default): the agent's action is applied, failure/repair events inside the
+window are processed, and the reward combines lost packets (when the
+service chain is incomplete), the energy drawn by allocated VNFs, a small
+restart penalty, and a completion bonus:
 
     reward = -(1 - sfc) * w_p * packets - w_e * energy - restart + sfc * f
 """
@@ -39,9 +40,7 @@ class EnvConfig:
     w_p: float = 1.0
     w_e: float = 0.01
     restart_penalty: float = 1.0
-    step_duration: int = 300
-    episode_length: int | None = None  # None = full trace
-    eval_mode: bool = False  # eval episodes always start at row 0
+    episode_length: int | None = None  # None = full trace from row 0
     normalize_obs: bool = False
     activity_scale: float | None = None  # e.g. the train split's max activity
 
@@ -125,9 +124,9 @@ class SfcEnv:
 
     def reset(self, seed: int = 0) -> np.ndarray:
         sim_seed = derive_seed(seed, "sim")
-        self.sim = SimState(self.topology, self.failure, t0=0.0, seed=sim_seed)
+        self.sim = SimState(self.topology, self.failure, seed=sim_seed)
         offset = 0
-        if not self.config.eval_mode and self.config.episode_length is not None:
+        if self.config.episode_length is not None:
             max_offset = self.trace.n_steps - self.episode_steps()
             if max_offset > 0:
                 offset = int(entity_rng(seed, 3).integers(0, max_offset + 1))
@@ -145,8 +144,7 @@ class SfcEnv:
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
         outcome = self.sim.apply_action(*action)
-        dt_hours = self.config.step_duration / 3600.0
-        self.sim.advance_to(self.sim.time + dt_hours)
+        self.sim.advance_to(self.sim.time + self.trace.step_duration / 3600.0)
 
         sfc = 1 if self.sim.sfc_complete() else 0
         packets = float(self._step_totals[self._row])

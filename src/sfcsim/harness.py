@@ -95,7 +95,7 @@ def build_envs(cfg: ExperimentConfig) -> tuple[SfcEnv, SfcEnv]:
         scale = float(split.train.steps.max())
         env_cfg = dataclasses.replace(env_cfg, activity_scale=scale or 1.0)
     train_env = SfcEnv(split.train, cfg.topology, cfg.failure, cfg.energy, env_cfg)
-    test_cfg = dataclasses.replace(env_cfg, eval_mode=True, episode_length=None)
+    test_cfg = dataclasses.replace(env_cfg, episode_length=None)
     test_env = SfcEnv(split.test, cfg.topology, cfg.failure, cfg.energy, test_cfg)
     return train_env, test_env
 
@@ -117,6 +117,9 @@ def cmd_cluster(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if cfg.cluster.k_min > tr.n_cells:
         raise ConfigError(f"cluster.k_min ({cfg.cluster.k_min}) exceeds the "
                           f"number of cells ({tr.n_cells})")
+    if tr.n_steps * tr.step_duration < clustering.SECONDS_PER_DAY:
+        raise ConfigError(f"clustering needs a trace of at least one day; this one "
+                          f"has {tr.n_steps} steps of {tr.step_duration} s")
     profiles = clustering.compute_period_profiles(tr, cfg.cluster.utc_offset_hours)
     k_max = min(cfg.cluster.k_max, len(profiles))
     scan = clustering.elbow_scan(profiles, (cfg.cluster.k_min, k_max),
@@ -187,7 +190,7 @@ def _resolve_policy(name_or_path: str, env: SfcEnv, seed: int):
         return policies.make_baseline(name_or_path, env, seed)
     net = PolicyNetwork.load(name_or_path, expect_obs_dim=env.obs_dim,
                              expect_head_sizes=env.head_sizes)
-    return policies.PpoPolicy(net, greedy=True)
+    return policies.PpoPolicy(net)
 
 
 def cmd_eval(cfg: ExperimentConfig, out_dir: Path, policy_spec: str,

@@ -93,23 +93,16 @@ class StaticGreedyPolicy:
 
 
 class PpoPolicy:
-    """Acts with a trained network; greedy (per-head mode) by default."""
+    """Acts greedily with a trained network: the mode of each action head."""
 
-    def __init__(self, net: PolicyNetwork, greedy: bool = True, seed: int = 0):
+    def __init__(self, net: PolicyNetwork):
         self.net = net
-        self.greedy = greedy
-        self._rng = entity_rng(seed, 31)
 
     def reset(self, seed: int) -> None:
-        self._rng = entity_rng(seed, 31)
+        pass
 
     def act(self, obs, env) -> ActionTuple:
-        vec = self.net.normalize_obs(obs)[None, :]
-        if self.greedy:
-            comps = self.net.mode(vec)[0]
-        else:
-            comps, _, _ = self.net.sample(vec, self._rng)
-            comps = comps[0]
+        comps = self.net.mode(self.net.normalize_obs(obs)[None, :])[0]
         return env.action_from_components(comps)
 
 

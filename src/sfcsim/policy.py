@@ -118,10 +118,6 @@ class PolicyNetwork:
         logits, _ = self.forward_np(obs)
         return np.stack([l.argmax(axis=1) for l in logits], axis=1)
 
-    def head_log_probs(self, obs: np.ndarray) -> list[np.ndarray]:
-        logits, _ = self.forward_np(obs)
-        return [_log_softmax_np(l) for l in logits]
-
     # ----------------------------------------------------------- tensor path
 
     def build_tensors(self) -> dict[str, Tensor]:
@@ -146,9 +142,6 @@ class PolicyNetwork:
         if self.obs_stats is None:
             return obs
         return clipped_zscore(obs, *self.obs_stats)
-
-    def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())
 
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}

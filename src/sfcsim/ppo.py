@@ -1,8 +1,9 @@
 """Proximal policy optimization with a clipped surrogate objective and GAE.
 
 Defaults mirror the widely used baseline implementation: 2x64 tanh network,
-Adam (eps 1e-5), rollouts of 128 steps, 4 epochs x 4 minibatches, clip 0.2,
-GAE(lambda=0.95), entropy bonus 0.01, gradient-norm clipping at 0.5.
+Adam (eps 1e-5), rollouts of 128 steps, 4 epochs x 4 minibatches, clip 0.2
+(policy ratio and value), GAE(lambda=0.95), entropy bonus 0.01,
+gradient-norm clipping at 0.5.
 Training is fully deterministic for a given config and seed.
 """
 
@@ -32,19 +33,11 @@ class PpoConfig:
     total_steps: int = 100_000
     seed: int = 0
     n_envs: int = 8
-    hidden: tuple[int, int] = (64, 64)
-    # Rewards are multiplied by this inside the learner (GAE/returns only);
-    # logged metrics keep raw rewards. Tames the +-400 reward scale.
-    reward_scale: float = 1.0
     # Divide learner rewards by a running std of the discounted return, as
     # the usual vec-env normalization wrapper does. Without it the value
     # targets of this environment (hundreds per step) swamp the policy
     # gradient through the shared trunk.
     normalize_rewards: bool = False
-    reward_clip: float = 10.0
-    # Clip the value prediction's per-update movement by clip_epsilon, as the
-    # mirrored framework does; damps value churn that scrambles advantages.
-    clip_value: bool = True
     # Standardize observations with running mean/var (the usual vec-env
     # wrapper); essential conditioning for wide all-positive observations.
     normalize_observations: bool = False
@@ -155,9 +148,11 @@ def ppo_loss(policy: PolicyNetwork, batch: dict, config: PpoConfig
     """Clipped-surrogate loss on one minibatch, and its gradient in closed form.
 
     ``batch`` holds numpy arrays: obs (B,D), actions (B,4), old_logp (B,),
-    advantages (B,), returns (B,), optionally old_values (B,). Returns the
-    loss, the gradient of every parameter (in ``policy.params`` order) and
-    diagnostics.
+    old_values (B,), advantages (B,), returns (B,). The value loss is
+    clipped too: a prediction's move from ``old_values`` counts only up to
+    ``clip_epsilon``, which damps value churn that scrambles advantages.
+    Returns the loss, the gradient of every parameter (in ``policy.params``
+    order) and diagnostics.
 
     The backward pass repeats, op for op and in the same accumulation order,
     what ``autodiff.Tensor.backward`` does on the graph of ``forward_t``, so
@@ -197,17 +192,13 @@ def ppo_loss(policy: PolicyNetwork, batch: dict, config: PpoConfig
 
     returns = np.asarray(batch["returns"], dtype=np.float64)
     err = values - returns
-    clip_value = config.clip_value and "old_values" in batch
-    if clip_value:
-        old_values = np.asarray(batch["old_values"], dtype=np.float64)
-        moved = values - old_values
-        moved_inside = (moved >= -eps) & (moved <= eps)
-        err_clipped = old_values + np.clip(moved, -eps, eps) - returns
-        sq_raw, sq_clipped = err ** 2, err_clipped ** 2
-        take_raw = sq_raw >= sq_clipped
-        value_loss = np.maximum(sq_raw, sq_clipped).mean()
-    else:
-        value_loss = (err ** 2).mean()
+    old_values = np.asarray(batch["old_values"], dtype=np.float64)
+    moved = values - old_values
+    moved_inside = (moved >= -eps) & (moved <= eps)
+    err_clipped = old_values + np.clip(moved, -eps, eps) - returns
+    sq_raw, sq_clipped = err ** 2, err_clipped ** 2
+    take_raw = sq_raw >= sq_clipped
+    value_loss = np.maximum(sq_raw, sq_clipped).mean()
 
     entropy = None
     for lp, pr in zip(log_probs, probs):
@@ -233,11 +224,8 @@ def ppo_loss(policy: PolicyNetwork, batch: dict, config: PpoConfig
     g_new_logp = g_ratio * ratio
 
     # value loss -> values
-    if clip_value:
-        g_values = (g_value_elems * ~take_raw) * 2.0 * err_clipped * moved_inside
-        g_values += (g_value_elems * take_raw) * 2.0 * err
-    else:
-        g_values = g_value_elems * 2.0 * err
+    g_values = (g_value_elems * ~take_raw) * 2.0 * err_clipped * moved_inside
+    g_values += (g_value_elems * take_raw) * 2.0 * err
     g_value_out = g_values.reshape(B, 1)
 
     grads: dict[str, np.ndarray] = {}
@@ -343,8 +331,7 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
     obs = np.stack([env.reset(derive_seed(config.seed, f"env{i}", 0))
                     for i, env in enumerate(envs)])
     if policy is None:
-        policy = PolicyNetwork(envs[0].obs_dim, envs[0].head_sizes,
-                               hidden=config.hidden, seed=config.seed)
+        policy = PolicyNetwork(envs[0].obs_dim, envs[0].head_sizes, seed=config.seed)
     log = TrainLog()
     if config.total_steps <= 0:
         return policy, log
@@ -353,7 +340,7 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
     perm_rng = entity_rng(config.seed, 21)
     adam = Adam(policy.params, config.learning_rate,
                 max_grad_norm=config.max_grad_norm)
-    normalizer = (ReturnNormalizer(config.n_envs, config.gamma, config.reward_clip)
+    normalizer = (ReturnNormalizer(config.n_envs, config.gamma)
                   if config.normalize_rewards else None)
     obs_stats = RunningObsStats(envs[0].obs_dim) if config.normalize_observations \
         else None
@@ -386,7 +373,7 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
             for i, (env, comps) in enumerate(zip(envs, components.tolist())):
                 next_obs, reward, done, record = env.step(
                     env.action_from_components(comps))
-                rewards_t.append(reward * config.reward_scale)
+                rewards_t.append(reward)
                 dones_t.append(float(done))
                 if log_env0 and i == 0:
                     log.env0_steps.append({

@@ -23,7 +23,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .artifacts import write_csv
 from .seeding import Pcg64Stream, entity_streams
 
 VNF_TYPES = ("SGW", "PGW", "MME", "HSS")
@@ -56,10 +55,6 @@ class Topology:
             raise ValueError("per-type cap cannot exceed the per-server cap")
 
     @property
-    def vnf_types(self) -> tuple[str, ...]:
-        return VNF_TYPES
-
-    @property
     def n_servers(self) -> int:
         return self.n_dcs * self.servers_per_dc
 
@@ -72,7 +67,6 @@ class FailureModel:
     mttr_server: float = 1.667
     mttf_vnf: float = 24.0
     mttr_vnf: float = 0.033
-    rng_seed: int = 0
 
     def __post_init__(self):
         if min(self.mttf_server, self.mttr_server, self.mttf_vnf, self.mttr_vnf) <= 0:
@@ -100,7 +94,6 @@ class VnfInstance:
     instance_id: int
     vnf_type: int  # index into VNF_TYPES
     up: bool = True
-    created_at: float = 0.0
     # Start of the current risk-accumulation window; pushed forward while the
     # host server is down so frozen time does not age the instance.
     age_anchor: float = 0.0
@@ -122,9 +115,6 @@ class ServerState:
     down_since: float | None = None
     event_token: int = 0
     rng: Pcg64Stream = field(default=None, repr=False)
-
-    def type_count(self, vnf_type: int) -> int:
-        return sum(1 for v in self.vnfs if v.vnf_type == vnf_type)
 
 
 @dataclass(frozen=True)
@@ -209,12 +199,11 @@ class SimState:
     from outside bypasses them and is unsupported.
     """
 
-    def __init__(self, topology: Topology, failure: FailureModel,
-                 t0: float = 0.0, seed: int | None = None):
+    def __init__(self, topology: Topology, failure: FailureModel, seed: int = 0):
         self.topology = topology
         self.failure = failure
-        self.time = t0
-        self.seed = failure.rng_seed if seed is None else seed
+        self.time = 0.0
+        self.seed = seed
         self._seq = 0
         self._next_instance_id = 0
         self._heap: list[tuple] = []
@@ -381,10 +370,8 @@ class SimState:
         iid = self._next_instance_id
         if iid == len(self._vnf_streams):
             self._vnf_streams += entity_streams(self.seed, _VNF_TAGS + (0, iid))
-        inst = VnfInstance(
-            instance_id=iid, vnf_type=vnf_type,
-            created_at=self.time, age_anchor=self.time,
-            rng=self._vnf_streams[iid])
+        inst = VnfInstance(instance_id=iid, vnf_type=vnf_type,
+                           age_anchor=self.time, rng=self._vnf_streams[iid])
         self._next_instance_id += 1
         server.vnfs.append(inst)
         self._instances[inst.instance_id] = inst
@@ -458,14 +445,3 @@ class SimState:
         per_dc = [table[n] for n in self._dc_alloc]
         return float(sum(per_dc)), per_dc
 
-
-def write_event_log(events: list[SimEvent], path,
-                    comments: list[str] | None = None) -> None:
-    """Audit/replay export of processed events."""
-    write_csv(path, ["time_hours", "kind", "dc", "server", "instance_id",
-                     "vnf_type"],
-              ([repr(ev.time), ev.kind, ev.dc_id, ev.server_id,
-                "" if ev.instance_id is None else ev.instance_id,
-                "" if ev.vnf_type is None else VNF_TYPES[ev.vnf_type]]
-               for ev in events),
-              comments)

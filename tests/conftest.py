@@ -5,6 +5,8 @@ Training runs once per session; its config is the pinned reference recipe
 w_e=0.01 and f=100).
 """
 
+import dataclasses
+
 import pytest
 
 from sfcsim import ppo
@@ -42,10 +44,9 @@ def reference_agent():
         return SfcEnv(train_env.trace, cfg.topology, cfg.failure, cfg.energy,
                       train_env.config)
 
-    ppo_cfg = cfg.ppo
-    ppo_cfg.seed = derive_seed(cfg.master_seed, "ppo")
+    ppo_cfg = dataclasses.replace(cfg.ppo, seed=derive_seed(cfg.master_seed, "ppo"))
     net, log = ppo.train(factory, ppo_cfg, log_env0=False)
     assert not log.aborted
-    result = evaluate_policy(PpoPolicy(net, greedy=True), test_env,
+    result = evaluate_policy(PpoPolicy(net), test_env,
                              cfg.eval.n_runs, master_seed=cfg.master_seed)
     return cfg, net, test_env, result

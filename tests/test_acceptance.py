@@ -18,6 +18,7 @@ from sfcsim.simcore import (EnergyModel, FailureModel, SimState, Topology,
                             VNF_REPAIR)
 from sfcsim.trace import SteppedTrace
 
+from helpers import head_log_probs
 from test_clustering import adjusted_rand_index, blob_profiles
 from toy_env import CorridorEnv, greedy_return
 
@@ -171,9 +172,10 @@ def test_criterion_4_gae_and_gradients():
     obs = rng.normal(size=(6, 3))
     actions = np.stack([rng.integers(0, 2, 6), rng.integers(0, 2, 6),
                         np.zeros(6, int), np.zeros(6, int)], axis=1)
-    logps = net.head_log_probs(obs)
+    logps = head_log_probs(net, obs)
     old_logp = sum(lp[np.arange(6), actions[:, i]] for i, lp in enumerate(logps))
     batch = {"obs": obs, "actions": actions, "old_logp": old_logp,
+             "old_values": net.forward_np(obs)[1],
              "advantages": rng.normal(size=6), "returns": rng.normal(size=6)}
     cfg = PpoConfig()
     _, grads, _ = ppo_loss(net, batch, cfg)
@@ -277,7 +279,7 @@ def test_criterion_8_evaluation_determinism(reference_agent, tmp_path):
     cfg, net, test_env, result = reference_agent
     paths = []
     for name in ("first", "second"):
-        rerun = evaluate_policy(PpoPolicy(net, greedy=True), test_env,
+        rerun = evaluate_policy(PpoPolicy(net), test_env,
                                 cfg.eval.n_runs, master_seed=cfg.master_seed)
         path = tmp_path / f"{name}.csv"
         with open(path, "w", encoding="utf-8") as fh:

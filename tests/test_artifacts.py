@@ -12,8 +12,10 @@ import pytest
 from sfcsim.artifacts import write_csv
 from sfcsim.env import StepRecord, write_step_records
 from sfcsim.harness import _fmt
-from sfcsim.simcore import SERVER_FAIL, VNF_FAIL, SimEvent, write_event_log
+from sfcsim.simcore import SERVER_FAIL, VNF_FAIL, SimEvent
 from sfcsim.trace import SteppedTrace, write_trace_csv
+
+from helpers import write_event_log
 
 
 def _trace(path):

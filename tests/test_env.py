@@ -236,7 +236,7 @@ def test_episode_ends_with_trace():
 
 
 def test_episode_length_limits_steps():
-    cfg = EnvConfig(episode_length=5, eval_mode=True)
+    cfg = EnvConfig(episode_length=5)
     env = make_env(trace=flat_trace(n_steps=50), config=cfg)
     env.reset(seed=0)
     done = False
@@ -269,13 +269,14 @@ def test_training_mode_uses_random_offsets():
     assert len(offsets) > 1  # different seeds start at different rows
 
 
-def test_eval_mode_always_starts_at_zero():
-    trace = SteppedTrace([1], np.arange(100, dtype=float)[:, None])
-    cfg = EnvConfig(episode_length=10, eval_mode=True)
-    env = make_env(trace=trace, config=cfg)
-    for seed in range(4):
-        obs = env.reset(seed=seed)
-        assert obs[0] == 0.0
+@pytest.mark.parametrize("step_duration", [300, 600])
+def test_step_advances_sim_time_by_trace_step_duration(step_duration):
+    trace = SteppedTrace([1], np.ones((10, 1)), step_duration=step_duration)
+    env = make_env(trace=trace)
+    env.reset(seed=0)
+    for n in range(1, 4):
+        env.step(NOOP)
+        assert env.sim.time == pytest.approx(n * step_duration / 3600.0, rel=1e-12)
 
 
 def test_step_trace_export_schema(tmp_path):

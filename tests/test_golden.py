@@ -24,9 +24,12 @@ from sfcsim.clustering import (_lloyd, compute_period_profiles, elbow_scan,
                                kmeans_fit)
 from sfcsim.env import EnvConfig, SfcEnv, write_step_records
 from sfcsim.policies import make_baseline, evaluate_policy
+from sfcsim.policy import PolicyNetwork
 from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SimState,
-                            Topology, write_event_log)
+                            Topology)
 from sfcsim.trace import generate_synthetic_trace
+
+from helpers import write_event_log
 
 TOPOLOGY = Topology(n_dcs=3, servers_per_dc=3, max_vnfs_per_server=4,
                     max_same_type_per_server=2)
@@ -101,10 +104,15 @@ def test_training_run_is_pinned():
     env_cfg = EnvConfig(episode_length=20, normalize_obs=True,
                         activity_scale=float(trace.steps.max()))
     config = ppo.PpoConfig(total_steps=3 * 3 * 32, n_envs=3, rollout_length=32,
-                           minibatches=2, epochs=2, hidden=(8, 8), seed=5,
+                           minibatches=2, epochs=2, seed=5,
                            normalize_rewards=True, normalize_observations=True)
-    policy, log = ppo.train(
-        lambda i: SfcEnv(trace, TOPOLOGY, FAILURE, EnergyModel(), env_cfg), config)
+
+    def make_env(index: int) -> SfcEnv:
+        return SfcEnv(trace, TOPOLOGY, FAILURE, EnergyModel(), env_cfg)
+
+    env = make_env(0)
+    net = PolicyNetwork(env.obs_dim, env.head_sizes, hidden=(8, 8), seed=5)
+    policy, log = ppo.train(make_env, config, net)
     assert len(log.updates) == 3 and len(log.episodes) >= 9
     params = b"".join(policy.params[k].tobytes() for k in sorted(policy.params))
     stats = b"".join(a.tobytes() for a in policy.obs_stats)

@@ -141,9 +141,21 @@ def test_build_envs_split_and_normalization():
     train_env, test_env = build_envs(cfg)
     assert train_env.trace.n_steps == 540
     assert test_env.trace.n_steps == 60
-    assert test_env.config.eval_mode
+    assert test_env.config.episode_length is None
     assert train_env.config.activity_scale is not None
     assert train_env.config.activity_scale == test_env.config.activity_scale
+
+
+def test_build_envs_test_env_always_starts_at_row_zero():
+    cfg = tiny_config(env={"episode_length": 10})
+    train_env, test_env = build_envs(cfg)
+    assert test_env.episode_steps() == test_env.trace.n_steps == 60
+    train_rows = set()
+    for seed in range(4):
+        assert test_env.reset(seed)[:6].tolist() == test_env.trace.steps[0].tolist()
+        first = train_env.reset(seed)[:6].tolist()
+        train_rows.add(train_env.trace.steps.tolist().index(first))
+    assert len(train_rows) > 1  # the train env does draw offsets
 
 
 def test_cells_selection_restricts_environment():
@@ -250,8 +262,21 @@ def test_cli_generate_trace_exit_zero(tmp_path):
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
+# Keys that older configs carried and that no command reads any more.
+REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
+                ("failure", "rng_seed", 3), ("ppo", "hidden", [8, 8]),
+                ("ppo", "reward_scale", 0.5), ("ppo", "reward_clip", 5.0),
+                ("ppo", "clip_value", False)]
+
+
 @pytest.mark.parametrize("data", [
     pytest.param({"trace": {"bogus": 1}}, id="unknown_key"),
+    pytest.param({"trace": {"n_cells": 0}}, id="trace_n_cells_0"),
+    pytest.param({"trace": {"n_steps": 0}}, id="trace_n_steps_0"),
+    pytest.param({"trace": {"step_duration": 0}}, id="trace_step_duration_0"),
+    pytest.param({"trace": {"split_fraction": 1.5}}, id="split_fraction_1.5"),
+    pytest.param({"trace": {"split_fraction": 1.0}}, id="split_fraction_1"),
+    pytest.param({"trace": {"split_fraction": 0.0}}, id="split_fraction_0"),
     pytest.param({"env": {"episode_length": 0}}, id="episode_length_0"),
     pytest.param({"env": {"episode_length": -3}}, id="episode_length_negative"),
     pytest.param({"env": {"activity_scale": -1.0}}, id="activity_scale_negative"),
@@ -267,12 +292,18 @@ def test_cli_generate_trace_exit_zero(tmp_path):
     pytest.param({"cluster": {"k_min": 5, "k_max": 4}}, id="cluster_k_min_above_k_max"),
     pytest.param({"eval": {"n_runs": 0}}, id="eval_n_runs_0"),
     pytest.param({"eval": {"quick_runs": 0}}, id="eval_quick_runs_0"),
+    *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
+      for section, key, value in REMOVED_KEYS],
 ])
 def test_cli_bad_config_exit_one(tmp_path, capsys, data):
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text(yaml.safe_dump(data))
     assert cli_main(["generate-trace", "--config", str(cfg_path)]) == 1
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    for section, key, _ in REMOVED_KEYS:
+        if key in data.get(section, {}):
+            assert f"unknown keys in [{section}]: ['{key}']" in err
 
 
 def test_cli_cluster_k_min_above_cell_count_exit_one(tmp_path, capsys):
@@ -284,6 +315,18 @@ def test_cli_cluster_k_min_above_cell_count_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "config error: cluster.k_min (8) exceeds the number of cells (5)" in err
+    assert "Traceback" not in err
+
+
+def test_cli_cluster_trace_shorter_than_a_day_exit_one(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.yaml"
+    save_config(tiny_config(trace={"n_cells": 6, "n_steps": 100}), cfg_path)
+    code = cli_main(["cluster", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert ("config error: clustering needs a trace of at least one day; "
+            "this one has 100 steps of 300 s") in err
     assert "Traceback" not in err
 
 

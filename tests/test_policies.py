@@ -76,7 +76,7 @@ def test_ppo_policy_greedy_matches_mode():
     env = make_env()
     obs = env.reset(seed=4)
     net = PolicyNetwork(env.obs_dim, env.head_sizes, seed=8)
-    policy = PpoPolicy(net, greedy=True)
+    policy = PpoPolicy(net)
     action = policy.act(obs, env)
     comps = net.mode(obs[None, :])[0]
     assert action == env.action_from_components(comps)

@@ -3,6 +3,8 @@ import pytest
 
 from sfcsim.policy import PolicyNetwork, orthogonal
 
+from helpers import head_log_probs
+
 
 def tiny_net(seed=0):
     return PolicyNetwork(obs_dim=6, head_sizes=(4, 3, 2, 4), hidden=(8, 8),
@@ -30,7 +32,7 @@ def test_zero_weights_give_uniform_heads():
 def test_head_probabilities_sum_to_one():
     net = tiny_net(seed=3)
     obs = np.random.default_rng(2).normal(size=(5, 6))
-    for lp in net.head_log_probs(obs):
+    for lp in head_log_probs(net, obs):
         np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -38,7 +40,7 @@ def test_joint_logp_is_sum_of_head_logps():
     net = tiny_net(seed=4)
     obs = np.random.default_rng(3).normal(size=(7, 6))
     comps, joint, _ = net.sample(obs, np.random.default_rng(9))
-    logps = net.head_log_probs(obs)
+    logps = head_log_probs(net, obs)
     manual = sum(lp[np.arange(7), comps[:, i]] for i, lp in enumerate(logps))
     np.testing.assert_allclose(joint, manual, atol=1e-9)
 

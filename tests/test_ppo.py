@@ -6,6 +6,7 @@ from sfcsim.policy import PolicyNetwork
 from sfcsim.ppo import (Adam, PpoConfig, ReturnNormalizer, RunningObsStats,
                         compute_gae, ppo_loss, train)
 
+from helpers import head_log_probs
 from toy_env import CorridorEnv, greedy_return
 
 
@@ -75,17 +76,15 @@ def test_gae_done_masks_bootstrap():
 
 # ---------------------------------------------------------------------- loss
 
-def make_batch(net, rng, B=8, old_from_net=True):
+def make_batch(net, rng, B=8):
+    """A batch as the rollout collects it: old log-probs and values from ``net``."""
     obs = rng.normal(size=(B, net.obs_dim))
     actions = np.stack([rng.integers(0, s, B) for s in net.head_sizes], axis=1)
-    if old_from_net:
-        logps = net.head_log_probs(obs)
-        old_logp = sum(lp[np.arange(B), actions[:, i]]
-                       for i, lp in enumerate(logps))
-    else:
-        old_logp = rng.normal(size=B) - 2.0
+    logps = head_log_probs(net, obs)
+    old_logp = sum(lp[np.arange(B), actions[:, i]] for i, lp in enumerate(logps))
     return {
         "obs": obs, "actions": actions, "old_logp": old_logp,
+        "old_values": net.forward_np(obs)[1],
         "advantages": rng.normal(size=B), "returns": rng.normal(size=B),
     }
 
@@ -109,14 +108,11 @@ def graph_loss(policy, batch, config):
     surrogate = (ratio * adv).minimum(ratio.clamp(1.0 - eps, 1.0 + eps) * adv)
     policy_loss = -surrogate.mean()
 
-    if config.clip_value and "old_values" in batch:
-        clipped = Tensor(batch["old_values"]) + \
-            (values - batch["old_values"]).clamp(-eps, eps)
-        err_raw = (values - batch["returns"]).square()
-        err_clipped = (clipped - batch["returns"]).square()
-        value_loss = err_raw.maximum(err_clipped).mean()
-    else:
-        value_loss = (values - batch["returns"]).square().mean()
+    clipped = Tensor(batch["old_values"]) + \
+        (values - batch["old_values"]).clamp(-eps, eps)
+    err_raw = (values - batch["returns"]).square()
+    err_clipped = (clipped - batch["returns"]).square()
+    value_loss = err_raw.maximum(err_clipped).mean()
 
     entropy = None
     for lp in log_probs:
@@ -167,12 +163,10 @@ ORACLE_SIZES = [
 def test_closed_form_matches_graph_bit_for_bit(sizes):
     obs_dim, head_sizes, hidden, B = sizes
     rng = np.random.default_rng(obs_dim * 1000 + B)
-    configs = [PpoConfig(), PpoConfig(clip_value=False),
+    configs = [PpoConfig(),
                PpoConfig(clip_epsilon=0.05, value_coef=0.25, entropy_coef=0.0)]
-    for trial in range(6):
+    for _ in range(6):
         net, batch = oracle_case(rng, obs_dim, head_sizes, hidden, B)
-        if trial % 3 == 2:
-            del batch["old_values"]
         for cfg in configs:
             loss, grads, diag = ppo_loss(net, batch, cfg)
             ref_loss, tensors, ref_diag = graph_loss(net, batch, cfg)
@@ -320,7 +314,7 @@ def test_gradient_norm_clipping():
 def test_total_steps_zero_returns_initial_params():
     cfg = PpoConfig(total_steps=0, n_envs=2, seed=3)
     net, log = train(lambda i: CorridorEnv(), cfg)
-    fresh = PolicyNetwork(8, (2, 1, 1, 1), hidden=cfg.hidden, seed=3)
+    fresh = PolicyNetwork(8, (2, 1, 1, 1), seed=3)
     for key in net.params:
         assert np.array_equal(net.params[key], fresh.params[key])
     assert log.updates == []

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
-                            SimState, Topology, VNF_FAIL, VNF_REPAIR,
+                            SimState, Topology, VNF_FAIL, VNF_REPAIR, VNF_TYPES,
                             sample_exponential, vnf_fail_risk)
+
+from helpers import write_event_log
 
 
 def small_state(seed=0, **failure_kwargs):
     topo = Topology(n_dcs=2, servers_per_dc=2)
-    failure = FailureModel(rng_seed=seed, **failure_kwargs)
-    return SimState(topo, failure)
+    return SimState(topo, FailureModel(**failure_kwargs), seed=seed)
+
+
+def type_count(server, vnf_type):
+    return sum(1 for v in server.vnfs if v.vnf_type == vnf_type)
 
 
 # ------------------------------------------------------------------ topology
@@ -39,7 +44,7 @@ def test_topology_validation():
         Topology(n_dcs=0)
     with pytest.raises(ValueError):
         Topology(max_vnfs_per_server=2, max_same_type_per_server=3)
-    assert len(Topology().vnf_types) == 4
+    assert len(VNF_TYPES) == N_VNF_TYPES == 4
 
 
 # --------------------------------------------------------------- exponential
@@ -122,7 +127,7 @@ def test_delete_targets_highest_risk_instance():
     outcome = state.apply_action(2, 1, 2, 3)
     assert outcome.accepted
     assert outcome.instance_id == oldest
-    assert state.servers[1][2].type_count(3) == 2
+    assert type_count(state.servers[1][2], 3) == 2
 
 
 def test_delete_without_instance_rejected():
@@ -338,7 +343,7 @@ def test_capacity_invariants_hold_after_random_actions():
             for server in row:
                 assert len(server.vnfs) <= state.topology.max_vnfs_per_server
                 for t in range(N_VNF_TYPES):
-                    assert server.type_count(t) <= \
+                    assert type_count(server, t) <= \
                         state.topology.max_same_type_per_server
 
 
@@ -398,8 +403,6 @@ def test_action_timing_does_not_perturb_other_entities():
 
 
 def test_event_log_export_schema(tmp_path):
-    from sfcsim.simcore import write_event_log
-
     state = small_state(seed=15, mttf_vnf=0.5, mttr_vnf=0.2, mttf_server=20.0,
                         mttr_server=2.0)
     state.apply_action(1, 0, 0, 0)
