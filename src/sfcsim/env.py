@@ -86,7 +86,13 @@ class SfcEnv:
         self.failure = failure
         self.energy = energy
         self.config = config
-        self._step_totals = trace.step_totals()
+        self._step_totals = trace.step_totals().tolist()
+        self._step_hours = trace.step_duration / 3600.0
+        self._last_row = trace.n_steps - 1
+        # Divisors of the observation: cell activities, then VNF counts
+        self._obs_scale = np.repeat(
+            (float(config.activity_scale or 1), float(topology.max_vnfs_per_server)),
+            (trace.n_cells, topology.n_servers * N_VNF_TYPES))
         self.sim: SimState | None = None
         self.done = True
         self.step_records: list[StepRecord] = []
@@ -132,6 +138,7 @@ class SfcEnv:
                 offset = int(entity_rng(seed, 3).integers(0, max_offset + 1))
         self._row = offset
         self._steps_taken = 0
+        self._episode_steps = self.episode_steps()
         self._cum_reward = 0.0
         self._cum_lost = 0.0
         self.step_records = []
@@ -144,10 +151,10 @@ class SfcEnv:
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
         outcome = self.sim.apply_action(*action)
-        self.sim.advance_to(self.sim.time + self.trace.step_duration / 3600.0)
+        self.sim.advance_to(self.sim.time + self._step_hours)
 
         sfc = 1 if self.sim.sfc_complete() else 0
-        packets = float(self._step_totals[self._row])
+        packets = self._step_totals[self._row]
         total_energy, _ = self.sim.energy_consumption(self.energy)
         restarted = 1 if (action.a == 3 and outcome.accepted) else 0
 
@@ -169,7 +176,7 @@ class SfcEnv:
 
         self._row += 1
         self._steps_taken += 1
-        if self._steps_taken >= self.episode_steps() or self._row >= self.trace.n_steps:
+        if self._steps_taken >= self._episode_steps or self._row > self._last_row:
             self.done = True
         return self.encode_observation(), reward, self.done, record
 
@@ -179,18 +186,10 @@ class SfcEnv:
         """Cell activities, then allocated-VNF counts in (dc, server, type) order.
 
         One float64 vector of length ``obs_dim``, normalized when configured."""
-        steps = self.trace.steps
-        n_cells = steps.shape[1]
-        activities = steps[min(self._row, steps.shape[0] - 1)]
-        counts = self.sim.vnf_counts().reshape(-1)
-        vector = np.empty(n_cells + counts.size)
+        activities = self.trace.steps[min(self._row, self._last_row)]
+        vector = np.concatenate((activities, self.sim.vnf_counts().reshape(-1)))
         if self.config.normalize_obs:
-            scale = self.config.activity_scale
-            np.divide(activities, scale or 1, out=vector[:n_cells])
-            np.divide(counts, self.topology.max_vnfs_per_server, out=vector[n_cells:])
-        else:
-            vector[:n_cells] = activities
-            vector[n_cells:] = counts
+            vector /= self._obs_scale
         return vector
 
 

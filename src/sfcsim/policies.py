@@ -64,15 +64,21 @@ class StaticGreedyPolicy:
                 target = self._least_loaded(sim, vnf_type)
                 if target is not None:
                     return ActionTuple(1, target[0], target[1], vnf_type)
-        riskiest = None
-        for server, inst in sim.instances():
-            if not (server.up and inst.up):
+        # Strict > keeps the first instance, in walk order, of the highest risk.
+        best_risk, target = self.risk_threshold, None
+        now, mttf_vnf = sim.time, sim.failure.mttf_vnf
+        for row, n_allocated in zip(sim.servers, sim.dc_alloc):
+            if not n_allocated:
                 continue
-            risk = vnf_fail_risk(inst, sim.time, sim.failure.mttf_vnf)
-            if risk > self.risk_threshold and (riskiest is None or risk > riskiest[0]):
-                riskiest = (risk, server.dc_id, server.server_id, inst.vnf_type)
-        if riskiest is not None:
-            return ActionTuple(3, riskiest[1], riskiest[2], riskiest[3])
+            for server in row:
+                if not server.up:
+                    continue
+                for inst in server.vnfs:
+                    if inst.up and (risk := vnf_fail_risk(inst, now, mttf_vnf)) > best_risk:
+                        best_risk = risk
+                        target = (server.dc_id, server.server_id, inst.vnf_type)
+        if target is not None:
+            return ActionTuple(3, *target)
         return ActionTuple(4, 0, 0, 0)
 
     @staticmethod

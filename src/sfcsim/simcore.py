@@ -137,6 +137,14 @@ class ActionOutcome:
     instance_id: int | None = None
 
 
+# Outcomes that carry no instance are the same every time, so they are shared.
+_NOOP = ActionOutcome(True, "noop")
+_SERVER_DOWN = ActionOutcome(False, "server_down")
+_SERVER_FULL = ActionOutcome(False, "server_full")
+_TYPE_CAP = ActionOutcome(False, "type_cap")
+_NO_INSTANCE = ActionOutcome(False, "no_instance")
+
+
 def sample_exponential(rng: np.random.Generator | Pcg64Stream, mean: float) -> float:
     """Strictly positive exponential draw via inverse CDF, -mean*ln(1-u)."""
     if mean <= 0:
@@ -194,9 +202,9 @@ class SimState:
     restart, VNF fail/repair, server fail/repair), so no query scans the
     instances: ``_alloc[dc, server, type]`` counts allocated instances, up
     or down (``alloc`` is a read-only view of it); ``_dc_alloc`` sums it per
-    DC; ``_up_counts[type]`` counts up instances on up servers;
-    ``_instances`` maps instance id to instance. Writing an ``up`` field
-    from outside bypasses them and is unsupported.
+    DC (``dc_alloc`` is a copy); ``_up_counts[type]`` counts up instances on
+    up servers; ``_instances`` maps instance id to instance. Writing an ``up``
+    field from outside bypasses them and is unsupported.
     """
 
     def __init__(self, topology: Topology, failure: FailureModel, seed: int = 0):
@@ -215,6 +223,7 @@ class SimState:
         self._up_counts = [0] * N_VNF_TYPES
         self._instances: dict[int, VnfInstance] = {}
         self._vnf_streams: list[Pcg64Stream] = []
+        self._energy_model, self._energy_watts = None, ()  # energy_consumption's table
         streams = iter(entity_streams(self.seed, _server_tags(
             topology.n_dcs, topology.servers_per_dc)))
         self.servers = [
@@ -351,10 +360,10 @@ class SimState:
         if not 0 <= vnf_type < N_VNF_TYPES:
             raise ValueError(f"vnf type must be in 0..{N_VNF_TYPES - 1}, got {vnf_type}")
         if a == 4:
-            return ActionOutcome(True, "noop")
+            return _NOOP
         server = self.servers[dc][server_id]
         if not server.up:
-            return ActionOutcome(False, "server_down")
+            return _SERVER_DOWN
         if a == 1:
             return self._create(server, vnf_type)
         if a == 2:
@@ -363,10 +372,10 @@ class SimState:
 
     def _create(self, server: ServerState, vnf_type: int) -> ActionOutcome:
         if len(server.vnfs) >= self.topology.max_vnfs_per_server:
-            return ActionOutcome(False, "server_full")
+            return _SERVER_FULL
         dc, sid = server.dc_id, server.server_id
         if self._alloc[dc, sid, vnf_type] >= self.topology.max_same_type_per_server:
-            return ActionOutcome(False, "type_cap")
+            return _TYPE_CAP
         iid = self._next_instance_id
         if iid == len(self._vnf_streams):
             self._vnf_streams += entity_streams(self.seed, _VNF_TAGS + (0, iid))
@@ -390,7 +399,7 @@ class SimState:
     def _delete(self, server: ServerState, vnf_type: int) -> ActionOutcome:
         candidates = [v for v in server.vnfs if v.vnf_type == vnf_type]
         if not candidates:
-            return ActionOutcome(False, "no_instance")
+            return _NO_INSTANCE
         target = max(candidates,
                      key=lambda v: (self._targeting_risk(v), -v.instance_id))
         target.event_token += 1  # cancel any pending event
@@ -405,7 +414,7 @@ class SimState:
     def _restart(self, server: ServerState, vnf_type: int) -> ActionOutcome:
         candidates = [v for v in server.vnfs if v.vnf_type == vnf_type and v.up]
         if not candidates:
-            return ActionOutcome(False, "no_instance")
+            return _NO_INSTANCE
         target = max(candidates,
                      key=lambda v: (self._targeting_risk(v), -v.instance_id))
         target.event_token += 1
@@ -421,6 +430,11 @@ class SimState:
             for server in row:
                 for inst in server.vnfs:
                     yield server, inst
+
+    @property
+    def dc_alloc(self) -> tuple[int, ...]:
+        """Allocated instances per DC, up or not."""
+        return tuple(self._dc_alloc)
 
     def sfc_complete(self) -> bool:
         """True iff every VNF type has an up instance on an up server."""
@@ -440,8 +454,9 @@ class SimState:
         Instances that are down (or on a down server) remain allocated and
         keep drawing power.
         """
-        topo = self.topology
-        table = _energy_table(model, topo.servers_per_dc * topo.max_vnfs_per_server)
-        per_dc = [table[n] for n in self._dc_alloc]
+        if model is not self._energy_model:
+            n_max = self.topology.servers_per_dc * self.topology.max_vnfs_per_server
+            self._energy_model, self._energy_watts = model, _energy_table(model, n_max)
+        per_dc = [self._energy_watts[n] for n in self._dc_alloc]
         return float(sum(per_dc)), per_dc
 
