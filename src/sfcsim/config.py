@@ -84,6 +84,10 @@ class ExperimentConfig:
     master_seed: int = 0
     out_dir: str = "out"
 
+    def __post_init__(self):
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
+            raise ConfigError(f"master_seed must be an int, got {self.master_seed!r}")
+
 
 _SECTIONS = {
     "trace": TraceConfig,

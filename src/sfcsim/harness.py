@@ -7,6 +7,7 @@ so rerunning a command with the same config produces byte-identical files.
 
 import dataclasses
 import logging
+import math
 import time
 from pathlib import Path
 
@@ -70,15 +71,19 @@ def select_managed_cells(cfg: ExperimentConfig,
                          full: trace_mod.SteppedTrace) -> trace_mod.SteppedTrace:
     """Restrict the trace to the managed cell set (explicit list or cluster)."""
     if cfg.cells:
-        return full.select_cells(sorted(cfg.cells))
-    if cfg.cluster.model_path and cfg.cluster.select_index is not None:
+        cells, source = sorted(cfg.cells), "cells"
+    elif cfg.cluster.model_path and cfg.cluster.select_index is not None:
         model = clustering.ClusterModel.load(cfg.cluster.model_path)
         cells = clustering.select_cells(model, cfg.cluster.select_index)
+        source = f"cluster {cfg.cluster.select_index} of {cfg.cluster.model_path}"
         if not cells:
-            raise ConfigError(
-                f"cluster {cfg.cluster.select_index} in {cfg.cluster.model_path} is empty")
-        return full.select_cells(cells)
-    return full
+            raise ConfigError(f"{source} is empty")
+    else:
+        return full
+    missing = sorted(set(cells) - set(full.cell_ids))
+    if missing:
+        raise ConfigError(f"{source}: cell ids not in the trace: {missing}")
+    return full.select_cells(cells)
 
 
 def build_envs(cfg: ExperimentConfig) -> tuple[SfcEnv, SfcEnv]:
@@ -89,6 +94,12 @@ def build_envs(cfg: ExperimentConfig) -> tuple[SfcEnv, SfcEnv]:
     enabled, is anchored to the train split's maximum activity for both.
     """
     full = select_managed_cells(cfg, build_trace(cfg))
+    n_train = math.floor(cfg.trace.split_fraction * full.n_steps)  # as the split does
+    if not 0 < n_train < full.n_steps:
+        raise ConfigError(
+            f"trace.split_fraction ({cfg.trace.split_fraction}) splits the trace's "
+            f"{full.n_steps} rows into {n_train} train and {full.n_steps - n_train} "
+            f"test rows; both splits must be non-empty")
     split = trace_mod.split_train_test(full, cfg.trace.split_fraction)
     env_cfg = cfg.env
     if env_cfg.normalize_obs and env_cfg.activity_scale is None:
