@@ -17,9 +17,11 @@ quartiles of every end-to-end metric of ``BENCHMARK.json``, the ratio of the
 medians, the pairs the change won, the gap between the medians over the
 parent's interquartile range, the bound check and the ``correct``/``failed``
 counts), then the per-seed runs, one compact line each. Running it again
-with the same label adds or replaces one workload. ``--digests`` also runs
-``scripts/artifact_digests.py`` at both refs and records whether the
-digests match. The temporary directory is removed afterwards.
+with the same label and refs adds a workload, or adds seeds to one (a seed
+run again replaces its pair), and the summary covers every pair in the
+file. ``--digests`` also runs ``scripts/artifact_digests.py`` at both refs
+and records whether the digests match. The temporary directory is removed
+afterwards.
 
 ``--summary`` prints one line per workload of every ``BENCH_*.json`` in the
 checkout's root, recomputed from the per-seed metrics, so it also reads the
@@ -213,14 +215,21 @@ def run_pairs(args) -> int:
             raise SystemExit(f"{out_path.name} holds runs of another {side} commit")
     doc.update({"parent": args.parent, "parent_commit": commits["parent"],
                 "change": args.change, "change_commit": commits["change"]})
+    command = (f"python3 bench/run.py --workload {args.workload} --seed S "
+               f"--seconds {args.seconds:g} --trace 0")
+    entry = doc.setdefault("workloads", {}).setdefault(
+        args.workload, {"command": command, "runs": {}})
+    if entry["command"] != command:
+        raise SystemExit(f"{out_path.name} holds {args.workload} runs of another command")
+    runs = entry["runs"]
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         checkouts = {side: tmp / side for side in SIDES}
         for side in SIDES:
             extract(commits[side], checkouts[side])
-        runs = {}
-        for i, seed in enumerate(seeds):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for seed in seeds:
+            runs.pop(str(seed), None)
+            order = SIDES if len(runs) % 2 == 0 else SIDES[::-1]
             runs[str(seed)] = {"first": order[0]}
             for side in order:
                 result = run_bench(checkouts[side], args.workload, seed, args.seconds)
@@ -231,10 +240,7 @@ def run_pairs(args) -> int:
                       file=sys.stderr)
         summary = summarize({s: {side: p[side] for side in SIDES} for s, p in runs.items()},
                             end_to_end_metrics())
-        doc.setdefault("workloads", {})[args.workload] = {
-            "command": f"python3 bench/run.py --workload {args.workload} --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
-            "summary": summary, "runs": runs}
+        entry["summary"] = summary
         if args.digests:
             lines = {side: digests(checkouts[side], tmp / f"digests-{side}")
                      for side in SIDES}

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
 """
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
-            cfg.master_seed = args.seed
+            cfg = dataclasses.replace(cfg, master_seed=args.seed)
         out_dir = args.out if args.out else Path(cfg.out_dir)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -85,8 +85,9 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
-            raise ConfigError(f"master_seed must be an int, got {self.master_seed!r}")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"master_seed must be an int >= 0, got {seed!r}")
 
 
 _SECTIONS = {

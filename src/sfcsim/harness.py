@@ -75,7 +75,7 @@ def select_managed_cells(cfg: ExperimentConfig,
     elif cfg.cluster.model_path and cfg.cluster.select_index is not None:
         model = clustering.ClusterModel.load(cfg.cluster.model_path)
         cells = clustering.select_cells(model, cfg.cluster.select_index)
-        source = f"cluster {cfg.cluster.select_index} of {cfg.cluster.model_path}"
+        source = f"cluster {cfg.cluster.select_index} in {cfg.cluster.model_path}"
         if not cells:
             raise ConfigError(f"{source} is empty")
     else:

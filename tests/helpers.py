@@ -3,14 +3,18 @@
 ``write_event_log`` exports the simulator's processed events (the golden
 event-log digest pins its bytes); ``head_log_probs`` gives each action
 head's log-probabilities, from which tests build ``old_logp`` batches and
-check the sampler's joint log-probability.
+check the sampler's joint log-probability. ``encode_observation_oracle``
+and ``greedy_act_oracle`` are the earlier forms of
+``SfcEnv.encode_observation`` and ``StaticGreedyPolicy.act``, kept as the
+oracles that the current ones must match bit for bit.
 """
 
 import numpy as np
 
 from sfcsim.artifacts import write_csv
+from sfcsim.env import ActionTuple
 from sfcsim.policy import PolicyNetwork, _log_softmax_np
-from sfcsim.simcore import VNF_TYPES, SimEvent
+from sfcsim.simcore import N_VNF_TYPES, VNF_TYPES, SimEvent, vnf_fail_risk
 
 
 def write_event_log(events: list[SimEvent], path,
@@ -29,3 +33,41 @@ def head_log_probs(net: PolicyNetwork, obs: np.ndarray) -> list[np.ndarray]:
     """Per-head log-softmax of the network's logits, one (B, size) array each."""
     logits, _ = net.forward_np(obs)
     return [_log_softmax_np(l) for l in logits]
+
+
+def encode_observation_oracle(env) -> np.ndarray:
+    """The observation written into an empty vector, one divide per part."""
+    steps = env.trace.steps
+    n_cells = steps.shape[1]
+    activities = steps[min(env._row, steps.shape[0] - 1)]
+    counts = env.sim.vnf_counts().reshape(-1)
+    vector = np.empty(n_cells + counts.size)
+    if env.config.normalize_obs:
+        scale = env.config.activity_scale
+        np.divide(activities, scale or 1, out=vector[:n_cells])
+        np.divide(counts, env.topology.max_vnfs_per_server, out=vector[n_cells:])
+    else:
+        vector[:n_cells] = activities
+        vector[n_cells:] = counts
+    return vector
+
+
+def greedy_act_oracle(policy, env) -> ActionTuple:
+    """``StaticGreedyPolicy.act`` over the raw ``instances()`` walk."""
+    sim = env.sim
+    counts = sim.operational_type_counts()
+    for vnf_type in range(N_VNF_TYPES):
+        if counts[vnf_type] == 0:
+            target = policy._least_loaded(sim, vnf_type)
+            if target is not None:
+                return ActionTuple(1, target[0], target[1], vnf_type)
+    riskiest = None
+    for server, inst in sim.instances():
+        if not (server.up and inst.up):
+            continue
+        risk = vnf_fail_risk(inst, sim.time, sim.failure.mttf_vnf)
+        if risk > policy.risk_threshold and (riskiest is None or risk > riskiest[0]):
+            riskiest = (risk, server.dc_id, server.server_id, inst.vnf_type)
+    if riskiest is not None:
+        return ActionTuple(3, riskiest[1], riskiest[2], riskiest[3])
+    return ActionTuple(4, 0, 0, 0)

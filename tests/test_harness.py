@@ -330,6 +330,50 @@ def test_cli_cluster_trace_shorter_than_a_day_exit_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_cells_missing_from_trace_exit_one(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.yaml"
+    save_config(tiny_config(cells=[2, 999, 998]), cfg_path)
+    code = cli_main(["eval", "--quick", "--policy", "noop", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error: cells: cell ids not in the trace: [998, 999]" in err
+    assert "Traceback" not in err
+
+
+def test_cli_empty_train_split_exit_one(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.yaml"
+    save_config(tiny_config(trace={"n_cells": 6, "n_steps": 5, "split_fraction": 0.1}),
+                cfg_path)
+    code = cli_main(["train", "--quick", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert ("config error: trace.split_fraction (0.1) splits the trace's 5 rows "
+            "into 0 train and 5 test rows; both splits must be non-empty") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["abc", True, 1.5, None, -1])
+def test_cli_bad_master_seed_exit_one(tmp_path, capsys, seed):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump({"master_seed": seed,
+                                        "trace": {"n_cells": 6, "n_steps": 10}}))
+    out = tmp_path / "out"
+    code = cli_main(["generate-trace", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"config error: master_seed must be an int >= 0, got {seed!r}" in err
+    assert not (out / "trace.csv").exists()
+
+
+def test_cli_negative_seed_flag_exit_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["generate-trace", "--seed", "-1", "--out", str(out)]) == 1
+    assert "config error: master_seed must be an int >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_config_exit_one(tmp_path):
     assert cli_main(["cluster", "--config", str(tmp_path / "nope.yaml")]) == 1
 
