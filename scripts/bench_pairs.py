@@ -29,6 +29,7 @@ older layout (``parent`` and ``change`` maps of seed to result).
 """
 
 import argparse
+import io
 import json
 import re
 import shutil
@@ -174,13 +175,10 @@ def git(*args: str) -> str:
 
 def extract(commit: str, dest: Path) -> None:
     """The committed files of ``commit`` into ``dest`` (no worktree metadata)."""
-    dest.mkdir(parents=True)
-    archive = dest.with_suffix(".tar")
-    with open(archive, "wb") as fh:
-        subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, stdout=fh)
-    with tarfile.open(archive) as tar:
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
-    archive.unlink()
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
