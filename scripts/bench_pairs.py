@@ -24,8 +24,7 @@ and records whether the digests match. The temporary directory is removed
 afterwards.
 
 ``--summary`` prints one line per workload of every ``BENCH_*.json`` in the
-checkout's root, recomputed from the per-seed metrics, so it also reads the
-older layout (``parent`` and ``change`` maps of seed to result).
+checkout's root, recomputed from the per-seed metrics.
 """
 
 import argparse
@@ -134,15 +133,10 @@ def dumps(doc: dict) -> str:
 
 
 def workload_entries(doc: dict) -> dict[str, dict[str, dict[str, dict]]]:
-    """``{workload: {seed: {side: result}}}`` from either BENCH layout."""
-    if "workloads" in doc:
-        return {name: {seed: {side: pair[side] for side in SIDES}
-                       for seed, pair in entry["runs"].items()}
-                for name, entry in doc["workloads"].items()}
-    match = re.search(r"--workload (\S+)", doc.get("command", ""))
-    name = match.group(1) if match else "?"
-    seeds = sorted(set(doc["parent"]) & set(doc["change"]), key=int)
-    return {name: {seed: {side: doc[side][seed] for side in SIDES} for seed in seeds}}
+    """``{workload: {seed: {side: result}}}`` of a BENCH file."""
+    return {name: {seed: {side: pair[side] for side in SIDES}
+                   for seed, pair in entry["runs"].items()}
+            for name, entry in doc["workloads"].items()}
 
 
 def summary_lines(root: Path = ROOT) -> list[str]:
@@ -206,8 +200,6 @@ def run_pairs(args) -> int:
                "change": git("rev-parse", f"{args.change}^{{commit}}")}
     out_path = ROOT / f"BENCH_{args.label}.json"
     doc = json.loads(out_path.read_text()) if out_path.is_file() else {}
-    if doc and "workloads" not in doc:
-        raise SystemExit(f"{out_path.name} has the older layout; choose another label")
     for side in SIDES:
         if doc.get(f"{side}_commit", commits[side]) != commits[side]:
             raise SystemExit(f"{out_path.name} holds runs of another {side} commit")

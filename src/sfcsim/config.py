@@ -88,6 +88,14 @@ class ExperimentConfig:
         seed = self.master_seed
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError(f"master_seed must be an int >= 0, got {seed!r}")
+        cells = self.cells
+        if cells is not None:
+            if not isinstance(cells, list) or any(
+                    isinstance(c, bool) or not isinstance(c, int) for c in cells):
+                raise ConfigError(f"cells must be a list of ints, got {cells!r}")
+            repeated = sorted({c for c in cells if cells.count(c) > 1})
+            if repeated:
+                raise ConfigError(f"cells: repeated cell ids: {repeated}")
 
 
 _SECTIONS = {

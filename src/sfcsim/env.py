@@ -96,8 +96,7 @@ class SfcEnv:
         self.sim: SimState | None = None
         self.done = True
         self.step_records: list[StepRecord] = []
-        self._row = 0
-        self._steps_taken = 0
+        self._start = self._row = self._end = 0  # episode rows: [start, end)
         self._cum_reward = 0.0
         self._cum_lost = 0.0
 
@@ -131,14 +130,11 @@ class SfcEnv:
     def reset(self, seed: int = 0) -> np.ndarray:
         sim_seed = derive_seed(seed, "sim")
         self.sim = SimState(self.topology, self.failure, seed=sim_seed)
-        offset = 0
-        if self.config.episode_length is not None:
-            max_offset = self.trace.n_steps - self.episode_steps()
-            if max_offset > 0:
-                offset = int(entity_rng(seed, 3).integers(0, max_offset + 1))
-        self._row = offset
-        self._steps_taken = 0
-        self._episode_steps = self.episode_steps()
+        length = self.episode_steps()
+        max_offset = self.trace.n_steps - length  # > 0 only with an episode_length
+        offset = int(entity_rng(seed, 3).integers(0, max_offset + 1)) if max_offset > 0 else 0
+        self._start = self._row = offset
+        self._end = offset + length
         self._cum_reward = 0.0
         self._cum_lost = 0.0
         self.step_records = []
@@ -169,15 +165,13 @@ class SfcEnv:
         self._cum_reward += reward
         self._cum_lost += lost
         record = StepRecord(
-            self._steps_taken, action.a, action.dc, action.server,
+            self._row - self._start, action.a, action.dc, action.server,
             action.vnf_type, outcome.accepted, sfc, packets, lost,
             total_energy, reward, self._cum_reward, self._cum_lost)
         self.step_records.append(record)
 
         self._row += 1
-        self._steps_taken += 1
-        if self._steps_taken >= self._episode_steps or self._row > self._last_row:
-            self.done = True
+        self.done = self._row >= self._end
         return self.encode_observation(), reward, self.done, record
 
     # ---------------------------------------------------------- observations

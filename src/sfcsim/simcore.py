@@ -97,10 +97,8 @@ class VnfInstance:
     # Start of the current risk-accumulation window; pushed forward while the
     # host server is down so frozen time does not age the instance.
     age_anchor: float = 0.0
-    scheduled_failure_at: float | None = None
-    scheduled_repair_at: float | None = None
-    # (kind, remaining hours) while the host server is down
-    suspended: tuple[str, float] | None = None
+    due: float = math.inf  # pending failure if up, pending repair if down
+    suspended: float | None = None  # hours left to ``due`` while the host is down
     event_token: int = 0
     rng: Pcg64Stream = field(default=None, repr=False)
 
@@ -111,7 +109,7 @@ class ServerState:
     server_id: int
     up: bool = True
     vnfs: list[VnfInstance] = field(default_factory=list)
-    next_event_time: float = math.inf
+    due: float = math.inf  # pending failure if up, pending repair if down
     down_since: float | None = None
     event_token: int = 0
     rng: Pcg64Stream = field(default=None, repr=False)
@@ -203,8 +201,13 @@ class SimState:
     instances: ``_alloc[dc, server, type]`` counts allocated instances, up
     or down (``alloc`` is a read-only view of it); ``_dc_alloc`` sums it per
     DC (``dc_alloc`` is a copy); ``_up_counts[type]`` counts up instances on
-    up servers; ``_instances`` maps instance id to instance. Writing an ``up``
-    field from outside bypasses them and is unsupported.
+    up servers. Writing an ``up`` field from outside bypasses them and is
+    unsupported.
+
+    Each server and instance has one pending event, at its ``due`` time: a
+    failure if it is up, a repair if not. Heap entries are ``(time, seq,
+    kind, server, instance or None, token)``; an entry whose token no longer
+    matches its entity's ``event_token`` is dead and skipped.
     """
 
     def __init__(self, topology: Topology, failure: FailureModel, seed: int = 0):
@@ -221,7 +224,6 @@ class SimState:
         self.alloc.flags.writeable = False
         self._dc_alloc = [0] * topology.n_dcs
         self._up_counts = [0] * N_VNF_TYPES
-        self._instances: dict[int, VnfInstance] = {}
         self._vnf_streams: list[Pcg64Stream] = []
         self._energy_model, self._energy_watts = None, ()  # energy_consumption's table
         streams = iter(entity_streams(self.seed, _server_tags(
@@ -233,39 +235,29 @@ class SimState:
         ]
         for row in self.servers:
             for server in row:
-                self._schedule_server_failure(server)
+                self._schedule(server)
 
     # ---------------------------------------------------------------- events
 
     def _push(self, time: float, kind: str, server: ServerState,
               instance: VnfInstance | None = None) -> None:
         self._seq += 1
-        token = (instance or server).event_token
-        iid = instance.instance_id if instance is not None else None
-        heapq.heappush(self._heap, (time, self._seq, kind, server.dc_id,
-                                    server.server_id, iid, token))
+        heapq.heappush(self._heap, (time, self._seq, kind, server, instance,
+                                    (instance or server).event_token))
 
-    def _schedule_server_failure(self, server: ServerState) -> None:
-        t = self.time + sample_exponential(server.rng, self.failure.mttf_server)
-        server.next_event_time = t
-        self._push(t, SERVER_FAIL, server)
-
-    def _schedule_server_repair(self, server: ServerState) -> None:
-        t = self.time + sample_exponential(server.rng, self.failure.mttr_server)
-        server.next_event_time = t
-        self._push(t, SERVER_REPAIR, server)
-
-    def _schedule_vnf_failure(self, server: ServerState, inst: VnfInstance) -> None:
-        t = self.time + sample_exponential(inst.rng, self.failure.mttf_vnf)
-        inst.scheduled_failure_at = t
-        inst.scheduled_repair_at = None
-        self._push(t, VNF_FAIL, server, inst)
-
-    def _schedule_vnf_repair(self, server: ServerState, inst: VnfInstance) -> None:
-        t = self.time + sample_exponential(inst.rng, self.failure.mttr_vnf)
-        inst.scheduled_repair_at = t
-        inst.scheduled_failure_at = None
-        self._push(t, VNF_REPAIR, server, inst)
+    def _schedule(self, server: ServerState, inst: VnfInstance | None = None) -> None:
+        """Draw and queue the next event of ``inst``, or of ``server`` if None:
+        a failure if it is up, a repair if not."""
+        f = self.failure
+        if inst is None:
+            entity = server
+            kind, mean = ((SERVER_FAIL, f.mttf_server) if server.up
+                          else (SERVER_REPAIR, f.mttr_server))
+        else:
+            entity = inst
+            kind, mean = (VNF_FAIL, f.mttf_vnf) if inst.up else (VNF_REPAIR, f.mttr_vnf)
+        entity.due = self.time + sample_exponential(entity.rng, mean)
+        self._push(entity.due, kind, server, inst)
 
     def advance_to(self, t: float) -> list[SimEvent]:
         """Process all pending events up to time t, in (time, seq) order."""
@@ -273,21 +265,18 @@ class SimState:
             raise ValueError(f"cannot advance backwards ({t} < {self.time})")
         processed: list[SimEvent] = []
         while self._heap and self._heap[0][0] <= t:
-            time, seq, kind, dc, sid, iid, token = heapq.heappop(self._heap)
-            server = self.servers[dc][sid]
+            time, seq, kind, server, inst, token = heapq.heappop(self._heap)
+            if (inst or server).event_token != token:
+                continue  # superseded, cancelled or suspended
             self.time = time
-            if iid is None:
-                if server.event_token != token:
-                    continue  # superseded: another event of this server came first
+            if inst is None:
                 self._process_server_event(kind, server)
-                processed.append(SimEvent(time, seq, kind, dc, sid))
+                processed.append(SimEvent(time, seq, kind, server.dc_id,
+                                          server.server_id))
             else:
-                inst = self._instances.get(iid)
-                if inst is None or inst.event_token != token or inst.suspended is not None:
-                    continue  # cancelled or suspended event
                 self._process_vnf_event(kind, server, inst)
-                processed.append(SimEvent(time, seq, kind, dc, sid,
-                                          iid, inst.vnf_type))
+                processed.append(SimEvent(time, seq, kind, server.dc_id, server.server_id,
+                                          inst.instance_id, inst.vnf_type))
         self.time = t
         return processed
 
@@ -301,42 +290,32 @@ class SimState:
             for inst in server.vnfs:
                 if inst.up:
                     self._up_counts[inst.vnf_type] -= 1
-                pending = (inst.scheduled_failure_at if inst.up
-                           else inst.scheduled_repair_at)
-                remaining = max(0.0, pending - self.time)
-                inst.suspended = (VNF_FAIL if inst.up else VNF_REPAIR, remaining)
+                inst.suspended = max(0.0, inst.due - self.time)
                 inst.event_token += 1
-            self._schedule_server_repair(server)
         else:
             server.up = True
-            downtime = self.time - (server.down_since or self.time)
+            downtime = self.time - server.down_since
             server.down_since = None
             for inst in server.vnfs:
                 if inst.up:
                     self._up_counts[inst.vnf_type] += 1
                 inst.age_anchor += downtime
-                kind_s, remaining = inst.suspended
+                inst.due = self.time + inst.suspended
                 inst.suspended = None
                 inst.event_token += 1
-                when = self.time + remaining
-                if kind_s == VNF_FAIL:
-                    inst.scheduled_failure_at = when
-                else:
-                    inst.scheduled_repair_at = when
-                self._push(when, kind_s, server, inst)
-            self._schedule_server_failure(server)
+                self._push(inst.due, VNF_FAIL if inst.up else VNF_REPAIR, server, inst)
+        self._schedule(server)
 
     def _process_vnf_event(self, kind: str, server: ServerState,
                            inst: VnfInstance) -> None:
         if kind == VNF_FAIL:
             inst.up = False
             self._up_counts[inst.vnf_type] -= 1
-            self._schedule_vnf_repair(server, inst)
         else:
             inst.up = True
             self._up_counts[inst.vnf_type] += 1
             inst.age_anchor = self.time
-            self._schedule_vnf_failure(server, inst)
+        self._schedule(server, inst)
 
     # --------------------------------------------------------------- actions
 
@@ -383,11 +362,10 @@ class SimState:
                            age_anchor=self.time, rng=self._vnf_streams[iid])
         self._next_instance_id += 1
         server.vnfs.append(inst)
-        self._instances[inst.instance_id] = inst
         self._alloc[dc, sid, vnf_type] += 1
         self._dc_alloc[dc] += 1
         self._up_counts[vnf_type] += 1
-        self._schedule_vnf_failure(server, inst)
+        self._schedule(server, inst)
         return ActionOutcome(True, "created", inst.instance_id)
 
     def _targeting_risk(self, inst: VnfInstance) -> float:
@@ -404,7 +382,6 @@ class SimState:
                      key=lambda v: (self._targeting_risk(v), -v.instance_id))
         target.event_token += 1  # cancel any pending event
         server.vnfs.remove(target)
-        del self._instances[target.instance_id]
         self._alloc[server.dc_id, server.server_id, vnf_type] -= 1
         self._dc_alloc[server.dc_id] -= 1
         if target.up:
@@ -419,7 +396,7 @@ class SimState:
                      key=lambda v: (self._targeting_risk(v), -v.instance_id))
         target.event_token += 1
         target.age_anchor = self.time
-        self._schedule_vnf_failure(server, target)
+        self._schedule(server, target)
         return ActionOutcome(True, "restarted", target.instance_id)
 
     # --------------------------------------------------------------- queries

@@ -101,20 +101,15 @@ def test_dumps_writes_one_line_per_run_and_round_trips():
     assert len(run_lines) == 2 * len(RUNS)
 
 
-def test_summary_lines_read_both_layouts(tmp_path):
+def test_summary_lines_read_every_workload(tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(METRICS.values())}))
-    old = {"command": "python3 bench/run.py --workload cluster --seed S --seconds 28",
-           "parent": {s: p["parent"] for s, p in RUNS.items()},
-           "change": {s: p["change"] for s, p in RUNS.items()}}
-    (tmp_path / "BENCH_old.json").write_text(json.dumps(old))
     new = {"workloads": {"eval-greedy": {"summary": {}, "runs": RUNS},
                          "train": {"summary": {}, "runs": {"1": RUNS["7000"]}}}}
     (tmp_path / "BENCH_new.json").write_text(bench_pairs.dumps(new))
     lines = bench_pairs.summary_lines(tmp_path)
-    assert len(lines) == 3
+    assert len(lines) == 2
     assert lines[0].startswith("BENCH_new.json  eval-greedy  throughput_per_s 100 -> 130 "
                                "(1.300x)  won 4/5  gap/IQR 3.00  correct 5+5/10  failed 0")
+    assert lines[0].endswith("bounds ok")
     assert lines[1].startswith("BENCH_new.json  train ")
     assert "gap/IQR n/a" in lines[1]
-    assert lines[2].startswith("BENCH_old.json  cluster  throughput_per_s 100 -> 130")
-    assert lines[2].endswith("bounds ok")

@@ -292,6 +292,7 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"cluster": {"k_min": 5, "k_max": 4}}, id="cluster_k_min_above_k_max"),
     pytest.param({"eval": {"n_runs": 0}}, id="eval_n_runs_0"),
     pytest.param({"eval": {"quick_runs": 0}}, id="eval_quick_runs_0"),
+    pytest.param({"cells": [1, 1, 2]}, id="cells_repeated"),
     *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
       for section, key, value in REMOVED_KEYS],
 ])
@@ -365,6 +366,24 @@ def test_cli_bad_master_seed_exit_one(tmp_path, capsys, seed):
     assert code == 1
     assert f"config error: master_seed must be an int >= 0, got {seed!r}" in err
     assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([4, 2, 4, 2, 3], "cells: repeated cell ids: [2, 4]"),
+    (5, "cells must be a list of ints, got 5"),
+    ([1, "a"], "cells must be a list of ints, got [1, 'a']"),
+    ([True], "cells must be a list of ints, got [True]"),
+], ids=["repeated", "int", "str_item", "bool_item"])
+def test_cli_bad_cells_exit_one(tmp_path, capsys, cells, message):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump({"cells": cells,
+                                        "trace": {"n_cells": 6, "n_steps": 10}}))
+    code = cli_main(["generate-trace", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_negative_seed_flag_exit_one(tmp_path, capsys):

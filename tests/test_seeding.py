@@ -73,7 +73,7 @@ def test_simulator_schedules_from_entity_rng_streams():
         for s, server in enumerate(row):
             expected = sample_exponential(entity_rng(seed, 1, d, s),
                                           failure.mttf_server)
-            assert server.next_event_time == expected
+            assert server.due == expected
     n = 2 * _VNF_STREAM_BLOCK + 5
     for i in range(n):
         outcome = state.apply_action(1, (i // 8) % 10, (i // 2) % 5, i % 4)
@@ -81,4 +81,4 @@ def test_simulator_schedules_from_entity_rng_streams():
     instances = {inst.instance_id: inst for _, inst in state.instances()}
     for i in range(n):
         expected = sample_exponential(entity_rng(seed, 2, i), failure.mttf_vnf)
-        assert instances[i].scheduled_failure_at == expected
+        assert instances[i].due == expected

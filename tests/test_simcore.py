@@ -142,12 +142,12 @@ def test_restart_reschedules_failure_and_resets_risk():
     inst = state.servers[0][0].vnfs[0]
     state.advance_to(50.0)
     assert vnf_fail_risk(inst, state.time, 1000.0) > 0.0
-    old_failure = inst.scheduled_failure_at
+    old_failure = inst.due
     outcome = state.apply_action(3, 0, 0, 2)
     assert outcome.accepted
     assert vnf_fail_risk(inst, state.time, 1000.0) == 0.0
-    assert inst.scheduled_failure_at != old_failure
-    assert inst.scheduled_failure_at > state.time
+    assert inst.due != old_failure
+    assert inst.due > state.time
 
 
 def test_actions_on_down_server_rejected():
@@ -221,12 +221,26 @@ def test_server_repair_restores_hosted_vnfs():
     assert any(e.kind == SERVER_FAIL for e in events)
     assert not server.up
     assert not state.sfc_complete()
-    repair_time = server.next_event_time
+    repair_time = server.due
     events = state.advance_to(repair_time + 1.0)
     assert server.up
     assert all(inst.up for inst in server.vnfs)
     ops = state.operational_type_counts()
     assert ops[0] == ops[1] == ops[2] == 1
+
+
+def test_server_down_from_time_zero_freezes_instance_age():
+    # A failure at exactly 0.0 still counts its whole downtime.
+    state = SimState(Topology(n_dcs=1, servers_per_dc=1),
+                     FailureModel(mttf_server=1e12, mttf_vnf=1e12), seed=0)
+    state.apply_action(1, 0, 0, 0)
+    inst = state.servers[0][0].vnfs[0]
+    state._push(0.0, SERVER_FAIL, state.servers[0][0])
+    events = state.advance_to(50.0)
+    assert (events[0].kind, events[0].time) == (SERVER_FAIL, 0.0)
+    repaired_at = events[1].time
+    assert events[1].kind == "server_repair" and repaired_at > 0.0
+    assert inst.age_anchor == repaired_at
 
 
 def test_sfc_complete_transitions():
@@ -257,12 +271,12 @@ def test_vnf_failure_and_repair_cycle():
     state = small_state(mttf_vnf=1.0, mttr_vnf=0.5, mttf_server=1e12)
     state.apply_action(1, 0, 0, 0)
     inst = state.servers[0][0].vnfs[0]
-    fail_at = inst.scheduled_failure_at
+    fail_at = inst.due
     events = state.advance_to(fail_at)
     assert events[-1].kind == VNF_FAIL
     assert not inst.up
-    assert inst.scheduled_repair_at > fail_at
-    events = state.advance_to(inst.scheduled_repair_at)
+    assert inst.due > fail_at
+    events = state.advance_to(inst.due)
     assert events[-1].kind == VNF_REPAIR
     assert inst.up
     assert inst.age_anchor == pytest.approx(state.time)
@@ -306,7 +320,7 @@ def test_down_instances_still_draw_power():
     state = small_state(mttf_server=1e12)
     state.apply_action(1, 0, 0, 0)
     inst = state.servers[0][0].vnfs[0]
-    events = state.advance_to(inst.scheduled_failure_at)
+    events = state.advance_to(inst.due)
     assert events[-1].kind == VNF_FAIL and not inst.up
     total, _ = state.energy_consumption(EnergyModel())
     assert total == pytest.approx(70.72)
@@ -355,13 +369,12 @@ def test_state_machine_soundness():
     rng = np.random.default_rng(10)
     random_action_walk(state, rng, 400, dt=0.7)
     live = {}
-    for time, seq, kind, dc, sid, iid, token in state._heap:
-        if iid is None:
+    for time, seq, kind, server, inst, token in state._heap:
+        dc, sid = server.dc_id, server.server_id
+        if inst is None:
             live.setdefault(("server", dc, sid), []).append(kind)
-        else:
-            inst = state._instances.get(iid)
-            if inst is not None and inst.event_token == token:
-                live.setdefault(("vnf", dc, sid, iid), []).append(kind)
+        elif inst.event_token == token:
+            live.setdefault(("vnf", dc, sid, inst.instance_id), []).append(kind)
     for row in state.servers:
         for server in row:
             kinds = live[("server", server.dc_id, server.server_id)]
@@ -372,9 +385,7 @@ def test_state_machine_soundness():
                     assert inst.suspended is None
                     kinds = live[key]
                     assert kinds == ([VNF_FAIL] if inst.up else [VNF_REPAIR])
-                    pending = (inst.scheduled_failure_at if inst.up
-                               else inst.scheduled_repair_at)
-                    assert pending >= state.time - 1e-12
+                    assert inst.due >= state.time - 1e-12
                 else:
                     assert inst.suspended is not None
                     assert key not in live
@@ -397,8 +408,8 @@ def test_action_timing_does_not_perturb_other_entities():
     s2 = small_state(seed=13)
     s2.apply_action(1, 1, 1, 0)
     s2.apply_action(1, 1, 1, 1)
-    t1 = s1.servers[0][0].next_event_time
-    t2 = s2.servers[0][0].next_event_time
+    t1 = s1.servers[0][0].due
+    t2 = s2.servers[0][0].due
     assert t1 == t2
 
 
