@@ -93,6 +93,8 @@ class ExperimentConfig:
             if not isinstance(cells, list) or any(
                     isinstance(c, bool) or not isinstance(c, int) for c in cells):
                 raise ConfigError(f"cells must be a list of ints, got {cells!r}")
+            if not cells:
+                raise ConfigError("cells must name at least one cell; omit it to manage every cell")
             repeated = sorted({c for c in cells if cells.count(c) > 1})
             if repeated:
                 raise ConfigError(f"cells: repeated cell ids: {repeated}")

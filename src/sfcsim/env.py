@@ -89,10 +89,10 @@ class SfcEnv:
         self._step_totals = trace.step_totals().tolist()
         self._step_hours = trace.step_duration / 3600.0
         self._last_row = trace.n_steps - 1
-        # Divisors of the observation: cell activities, then VNF counts
-        self._obs_scale = np.repeat(
-            (float(config.activity_scale or 1), float(topology.max_vnfs_per_server)),
-            (trace.n_cells, topology.n_servers * N_VNF_TYPES))
+        # Divisors of the observation's two parts (the counts' is 1 unless normalized)
+        self._activity_scale = float(config.activity_scale or 1)
+        self._alloc_scale = float(topology.max_vnfs_per_server if config.normalize_obs else 1)
+        self._alloc_block: np.ndarray | None = None  # see encode_observation
         self.sim: SimState | None = None
         self.done = True
         self.step_records: list[StepRecord] = []
@@ -139,6 +139,7 @@ class SfcEnv:
         self._cum_lost = 0.0
         self.step_records = []
         self.done = False
+        self._encode_alloc()
         return self.encode_observation()
 
     def step(self, action: ActionTuple) -> tuple[np.ndarray, float, bool, StepRecord]:
@@ -147,6 +148,8 @@ class SfcEnv:
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
         outcome = self.sim.apply_action(*action)
+        if outcome.accepted and action.a in (1, 2):
+            self._encode_alloc()
         self.sim.advance_to(self.sim.time + self._step_hours)
 
         sfc = 1 if self.sim.sfc_complete() else 0
@@ -179,12 +182,18 @@ class SfcEnv:
     def encode_observation(self) -> np.ndarray:
         """Cell activities, then allocated-VNF counts in (dc, server, type) order.
 
-        One float64 vector of length ``obs_dim``, normalized when configured."""
+        A new float64 vector of length ``obs_dim`` on every call, normalized
+        when configured. The counts part is kept between calls: only creates
+        and deletes change it, so it is rebuilt at ``reset`` and after an
+        accepted create or delete in ``step``, the only writers of the
+        simulator's allocation in an episode."""
         activities = self.trace.steps[min(self._row, self._last_row)]
-        vector = np.concatenate((activities, self.sim.vnf_counts().reshape(-1)))
         if self.config.normalize_obs:
-            vector /= self._obs_scale
-        return vector
+            activities = activities / self._activity_scale
+        return np.concatenate((activities, self._alloc_block))
+
+    def _encode_alloc(self) -> None:
+        self._alloc_block = self.sim.vnf_counts().reshape(-1) / self._alloc_scale
 
 
 def write_step_records(records: list[StepRecord], path,

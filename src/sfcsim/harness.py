@@ -52,7 +52,7 @@ def build_trace(cfg: ExperimentConfig) -> trace_mod.SteppedTrace:
             raise ConfigError(
                 "trace.source=cdr requires trace.path pointing at the CDR "
                 "dataset; use source=synthetic when the dataset is absent")
-        cell_filter = set(cfg.cells) if cfg.cells else None
+        cell_filter = set(cfg.cells) if cfg.cells is not None else None
         result = trace_mod.load_cdr_file(tc.path, cell_filter)
         if not result.records:
             raise ConfigError(f"no usable records in {tc.path}")
@@ -70,7 +70,7 @@ def build_trace(cfg: ExperimentConfig) -> trace_mod.SteppedTrace:
 def select_managed_cells(cfg: ExperimentConfig,
                          full: trace_mod.SteppedTrace) -> trace_mod.SteppedTrace:
     """Restrict the trace to the managed cell set (explicit list or cluster)."""
-    if cfg.cells:
+    if cfg.cells is not None:
         cells, source = sorted(cfg.cells), "cells"
     elif cfg.cluster.model_path and cfg.cluster.select_index is not None:
         model = clustering.ClusterModel.load(cfg.cluster.model_path)

@@ -401,13 +401,6 @@ class SimState:
 
     # --------------------------------------------------------------- queries
 
-    def instances(self):
-        """Walk every (server, instance) pair; the raw state, not the aggregates."""
-        for row in self.servers:
-            for server in row:
-                for inst in server.vnfs:
-                    yield server, inst
-
     @property
     def dc_alloc(self) -> tuple[int, ...]:
         """Allocated instances per DC, up or not."""

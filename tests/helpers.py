@@ -1,12 +1,15 @@
 """Test-side helpers that the program itself never calls.
 
-``write_event_log`` exports the simulator's processed events (the golden
-event-log digest pins its bytes); ``head_log_probs`` gives each action
-head's log-probabilities, from which tests build ``old_logp`` batches and
-check the sampler's joint log-probability. ``encode_observation_oracle``
-and ``greedy_act_oracle`` are the earlier forms of
-``SfcEnv.encode_observation`` and ``StaticGreedyPolicy.act``, kept as the
-oracles that the current ones must match bit for bit.
+``instances`` walks a simulator's raw state, which tests compare the kept
+aggregates with; ``write_event_log`` exports the simulator's processed
+events (the golden event-log digest pins its bytes); ``head_log_probs``
+gives each action head's log-probabilities, from which tests build
+``old_logp`` batches and check the sampler's joint log-probability.
+``encode_observation_oracle``, ``greedy_act_oracle`` and
+``random_act_oracle`` are the earlier forms of
+``SfcEnv.encode_observation``, ``StaticGreedyPolicy.act`` and
+``RandomPolicy.act``, kept as the oracles that the current ones must match
+bit for bit.
 """
 
 import numpy as np
@@ -15,6 +18,14 @@ from sfcsim.artifacts import write_csv
 from sfcsim.env import ActionTuple
 from sfcsim.policy import PolicyNetwork, _log_softmax_np
 from sfcsim.simcore import N_VNF_TYPES, VNF_TYPES, SimEvent, vnf_fail_risk
+
+
+def instances(state):
+    """Walk every (server, instance) pair; the raw state, not the aggregates."""
+    for row in state.servers:
+        for server in row:
+            for inst in server.vnfs:
+                yield server, inst
 
 
 def write_event_log(events: list[SimEvent], path,
@@ -53,7 +64,7 @@ def encode_observation_oracle(env) -> np.ndarray:
 
 
 def greedy_act_oracle(policy, env) -> ActionTuple:
-    """``StaticGreedyPolicy.act`` over the raw ``instances()`` walk."""
+    """``StaticGreedyPolicy.act`` over the raw ``instances`` walk."""
     sim = env.sim
     counts = sim.operational_type_counts()
     for vnf_type in range(N_VNF_TYPES):
@@ -62,7 +73,7 @@ def greedy_act_oracle(policy, env) -> ActionTuple:
             if target is not None:
                 return ActionTuple(1, target[0], target[1], vnf_type)
     riskiest = None
-    for server, inst in sim.instances():
+    for server, inst in instances(sim):
         if not (server.up and inst.up):
             continue
         risk = vnf_fail_risk(inst, sim.time, sim.failure.mttf_vnf)
@@ -71,3 +82,9 @@ def greedy_act_oracle(policy, env) -> ActionTuple:
     if riskiest is not None:
         return ActionTuple(3, riskiest[1], riskiest[2], riskiest[3])
     return ActionTuple(4, 0, 0, 0)
+
+
+def random_act_oracle(rng, head_sizes) -> ActionTuple:
+    """One ``RandomPolicy`` act as four scalar ``Generator.integers`` draws."""
+    comps = [int(rng.integers(size)) for size in head_sizes]
+    return ActionTuple(comps[0] + 1, comps[1], comps[2], comps[3])

@@ -18,7 +18,7 @@ from sfcsim.simcore import (EnergyModel, FailureModel, SimState, Topology,
                             VNF_REPAIR)
 from sfcsim.trace import SteppedTrace
 
-from helpers import head_log_probs
+from helpers import head_log_probs, instances
 from test_clustering import adjusted_rand_index, blob_profiles
 from toy_env import CorridorEnv, greedy_return
 
@@ -50,17 +50,17 @@ def test_criterion_1_reward_oracle_equivalence():
         while not done and checked < 1000:
             a = ActionTuple(int(rng.integers(1, 5)), int(rng.integers(10)),
                             int(rng.integers(5)), int(rng.integers(4)))
-            before = {id(i): True for _, i in env.sim.instances()}
+            before = {id(i): True for _, i in instances(env.sim)}
             _, reward, done, b = env.step(a)
             # independent recomputation of the reward from raw state
             sfc = 1
             for vnf_type in range(4):
                 ok = any(srv.up and inst.up and inst.vnf_type == vnf_type
-                         for srv, inst in env.sim.instances())
+                         for srv, inst in instances(env.sim))
                 if not ok:
                     sfc = 0
             watts = 0.0
-            for _, inst in env.sim.instances():
+            for _, inst in instances(env.sim):
                 watts += inst.cpu_units * 40.0 + inst.mem_units * 30.72
             restart = 1 if (a.a == 3 and env.step_records[-1].accepted) else 0
             expected = (-(1 - sfc) * cfg.w_p * b.packets - cfg.w_e * watts

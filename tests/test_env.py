@@ -5,6 +5,8 @@ from sfcsim.env import ActionTuple, EnvConfig, SfcEnv, write_step_records
 from sfcsim.simcore import EnergyModel, FailureModel, SimState, Topology
 from sfcsim.trace import SteppedTrace, generate_synthetic_trace
 
+from helpers import instances
+
 NOOP = ActionTuple(4, 0, 0, 0)
 
 
@@ -121,10 +123,10 @@ def test_reward_decomposition_identity_random_steps():
             - cfg.restart_penalty * restarted + rec.sfc * cfg.f, abs=0.0)
         assert rec.lost == (1 - rec.sfc) * rec.packets
         # independent recomputation from a rescan of the raw simulator state
-        up_types = {inst.vnf_type for server, inst in env.sim.instances()
+        up_types = {inst.vnf_type for server, inst in instances(env.sim)
                     if server.up and inst.up}
         sfc = 1 if len(up_types) == 4 else 0
-        energy = sum(70.72 for _, _ in env.sim.instances())
+        energy = sum(70.72 for _, _ in instances(env.sim))
         assert rec.sfc == sfc
         assert rec.energy_w == pytest.approx(energy, abs=1e-7)
         if done:

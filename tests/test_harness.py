@@ -293,6 +293,7 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"eval": {"n_runs": 0}}, id="eval_n_runs_0"),
     pytest.param({"eval": {"quick_runs": 0}}, id="eval_quick_runs_0"),
     pytest.param({"cells": [1, 1, 2]}, id="cells_repeated"),
+    pytest.param({"cells": []}, id="cells_empty"),
     *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
       for section, key, value in REMOVED_KEYS],
 ])

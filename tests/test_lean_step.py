@@ -1,20 +1,23 @@
-"""The lean env step against its earlier forms, bit for bit.
+"""The lean env step and baseline rollouts against their earlier forms, bit for bit.
 
-``SfcEnv.encode_observation`` must equal the two-divide encoding and
-``StaticGreedyPolicy.act`` the raw ``instances()`` walk (both kept in
-``helpers``) over random action sequences and simulator states. The shared
-rejection outcomes must keep their reason strings, and the energy table a
-state keeps must follow the model it is asked about.
+``SfcEnv.encode_observation`` must equal the two-divide encoding,
+``StaticGreedyPolicy.act`` the raw ``instances`` walk and ``RandomPolicy``'s
+block draws the scalar ``Generator.integers`` draws (all kept in
+``helpers``) over random action sequences, simulator states and seeds. The
+shared rejection outcomes must keep their reason strings, and the energy
+table a state keeps must follow the model it is asked about.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import encode_observation_oracle, greedy_act_oracle
+from helpers import encode_observation_oracle, greedy_act_oracle, random_act_oracle
 from sfcsim.env import ActionTuple, EnvConfig, SfcEnv
-from sfcsim.policies import StaticGreedyPolicy
+from sfcsim.policies import RandomPolicy, StaticGreedyPolicy, make_baseline
+from sfcsim.seeding import entity_rng
 from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
                             SimState, Topology)
 from sfcsim.trace import SteppedTrace
@@ -52,12 +55,69 @@ def test_observation_matches_two_divide_encoding_bit_for_bit(case):
     obs = env.reset(seed)
     assert obs.tobytes() == encode_observation_oracle(env).tobytes()
     for action in actions:
+        obs[:] = np.nan  # a kept allocation block must not be shared with obs
         if env.done:
             obs = env.reset(seed + 1)
             assert obs.tobytes() == encode_observation_oracle(env).tobytes()
+            assert not obs[env.n_cells:].any()
+            obs[:] = np.nan
         obs, _, _, _ = env.step(ActionTuple(*action))
         expected = encode_observation_oracle(env)
         assert obs.dtype == expected.dtype and obs.tobytes() == expected.tobytes()
+
+
+HEAD_SIZE = st.sampled_from((1, 2, 3, 4, 5, 7, 10, 2**31 + 1, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), head_sizes=st.tuples(*[HEAD_SIZE] * 4),
+       n_acts=st.integers(0, 300), reset_seed=st.integers(0, 2**32),
+       n_after=st.integers(0, 300))
+def test_random_policy_matches_scalar_draws(seed, head_sizes, n_acts, reset_seed, n_after):
+    # runs longer than a block cross its boundary; sizes 3, 5, 7, 10 and
+    # 2**31 + 1 reject some words, 2**31 + 1 about half of them
+    policy = RandomPolicy(head_sizes, seed)
+    rng = entity_rng(seed, 30)
+    for _ in range(n_acts):
+        assert policy.act(None, None) == random_act_oracle(rng, head_sizes)
+    policy.reset(reset_seed)  # mostly partway through a block
+    rng = entity_rng(reset_seed, 30)
+    for _ in range(n_after):
+        assert policy.act(None, None) == random_act_oracle(rng, head_sizes)
+
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def zero_next_output(rng) -> None:
+    """Set a PCG64 generator so that its next 64-bit output is 0 (two zero words)."""
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = -inc * pow(PCG64_MULT, -1, 2**128) % 2**128
+    state["has_uint32"] = 0
+    rng.bit_generator.state = state
+
+
+@pytest.mark.parametrize("head_sizes, first_acts", [
+    # the size-10 head rejects the second zero word: 13 words for three acts
+    ((4, 10, 5, 4), [(1, 8, 1, 2), (1, 5, 3, 2), (3, 1, 4, 0)]),
+    # the first head rejects both zero words: 14 words for three acts
+    ((5, 10, 5, 4), [(5, 2, 3, 0), (3, 7, 2, 2), (1, 9, 0, 3)]),
+])
+def test_random_policy_draws_past_rejected_words(head_sizes, first_acts):
+    policy = RandomPolicy(head_sizes, seed=0)
+    rng = entity_rng(0, 30)
+    zero_next_output(policy._rng)
+    zero_next_output(rng)
+    acts = [policy.act(None, None) for _ in range(600)]
+    assert acts[:3] == first_acts
+    assert acts == [random_act_oracle(rng, head_sizes) for _ in range(600)]
+
+
+def test_random_policy_rejects_head_sizes_above_two_to_the_32():
+    assert make_baseline("random", SimpleNamespace(head_sizes=(4, 2**32, 1, 4)))
+    with pytest.raises(ValueError, match="head sizes"):
+        make_baseline("random", SimpleNamespace(head_sizes=(4, 2**32 + 1, 1, 4)))
 
 
 GREEDY_TOPOLOGY = Topology(n_dcs=4, servers_per_dc=2, max_vnfs_per_server=3,

@@ -15,6 +15,8 @@ from sfcsim.seeding import entity_rng, entity_streams
 from sfcsim.simcore import (FailureModel, SimState, Topology,
                             _VNF_STREAM_BLOCK, sample_exponential)
 
+from helpers import instances
+
 N_DRAWS = 6
 SEEDS = st.one_of(st.just(0), st.integers(0, 2**32 - 1),
                   st.integers(0, 2**63 - 1))
@@ -78,7 +80,7 @@ def test_simulator_schedules_from_entity_rng_streams():
     for i in range(n):
         outcome = state.apply_action(1, (i // 8) % 10, (i // 2) % 5, i % 4)
         assert outcome.accepted and outcome.instance_id == i
-    instances = {inst.instance_id: inst for _, inst in state.instances()}
+    by_id = {inst.instance_id: inst for _, inst in instances(state)}
     for i in range(n):
         expected = sample_exponential(entity_rng(seed, 2, i), failure.mttf_vnf)
-        assert instances[i].due == expected
+        assert by_id[i].due == expected

@@ -7,7 +7,7 @@ from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
                             SimState, Topology, VNF_FAIL, VNF_REPAIR, VNF_TYPES,
                             sample_exponential, vnf_fail_risk)
 
-from helpers import write_event_log
+from helpers import instances, write_event_log
 
 
 def small_state(seed=0, **failure_kwargs):
@@ -25,7 +25,7 @@ def test_reference_init_schedules_one_failure_per_server():
     state = SimState(Topology(), FailureModel())
     assert len(state._heap) == 50
     assert all(kind == SERVER_FAIL for _, _, kind, *_ in state._heap)
-    assert sum(1 for _ in state.instances()) == 0
+    assert sum(1 for _ in instances(state)) == 0
 
 
 def test_single_server_init():
@@ -108,7 +108,7 @@ def test_noop_changes_nothing():
     outcome = state.apply_action(4, 0, 0, 0)
     assert outcome.accepted
     assert len(state._heap) == before
-    assert sum(1 for _ in state.instances()) == 0
+    assert sum(1 for _ in instances(state)) == 0
 
 
 def test_delete_targets_highest_risk_instance():

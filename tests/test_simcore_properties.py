@@ -3,7 +3,7 @@ and instances on a down server stay suspended.
 
 Hypothesis draws random interleavings of management actions, clock
 advances and forced server failures; after every operation each query is
-recomputed from the raw ``instances()`` walk and compared exactly. The
+recomputed from the raw ``instances`` walk and compared exactly. The
 second test replays each advance's processed events in order and checks
 that no instance event fires while its server is down.
 """
@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
                             SERVER_REPAIR, SimState, Topology)
+
+from helpers import instances
 
 TOPOLOGY = Topology(n_dcs=2, servers_per_dc=3, max_vnfs_per_server=4,
                     max_same_type_per_server=2)
@@ -38,7 +40,7 @@ def assert_matches_rescan(state: SimState) -> None:
     alloc = np.zeros((topo.n_dcs, topo.servers_per_dc, N_VNF_TYPES), dtype=int)
     up = [0] * N_VNF_TYPES
     per_dc = [0.0] * topo.n_dcs
-    for server, inst in state.instances():
+    for server, inst in instances(state):
         alloc[server.dc_id, server.server_id, inst.vnf_type] += 1
         if server.up and inst.up:
             up[inst.vnf_type] += 1
@@ -99,5 +101,5 @@ def test_suspended_instances_never_fire(seed, operations):
                 down.discard(host)
             else:
                 assert host not in down, event
-        for server, inst in state.instances():
+        for server, inst in instances(state):
             assert (inst.suspended is not None) == (not server.up)
