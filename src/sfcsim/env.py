@@ -89,7 +89,8 @@ class SfcEnv:
         self._step_totals = trace.step_totals().tolist()
         self._step_hours = trace.step_duration / 3600.0
         self._last_row = trace.n_steps - 1
-        # Divisors of the observation's two parts (the counts' is 1 unless normalized)
+        # Observation divisors: the activities' is used only when normalized;
+        # the counts' is 1 when not, so the kept counts block is float64 either way
         self._activity_scale = float(config.activity_scale or 1)
         self._alloc_scale = float(topology.max_vnfs_per_server if config.normalize_obs else 1)
         self._alloc_block: np.ndarray | None = None  # see encode_observation
