@@ -66,6 +66,20 @@ def test_observation_matches_two_divide_encoding_bit_for_bit(case):
         assert obs.dtype == expected.dtype and obs.tobytes() == expected.tobytes()
 
 
+def test_reset_clears_the_kept_allocation_block():
+    trace = SteppedTrace([1, 2], np.full((3, 2), 10.0))
+    env = SfcEnv(trace, Topology(n_dcs=2, servers_per_dc=2),
+                 FailureModel(mttf_server=1e12, mttf_vnf=1e12), EnergyModel(),
+                 EnvConfig(normalize_obs=True, activity_scale=20.0))
+    env.reset(0)
+    for vnf_type in range(3):
+        obs, _, _, record = env.step(ActionTuple(1, 1, 0, vnf_type))
+        assert record.accepted
+    assert env.done and obs[2:].sum() > 0
+    obs = env.reset(0)
+    assert obs.tobytes() == np.array([0.5, 0.5] + [0.0] * 16).tobytes()
+
+
 HEAD_SIZE = st.sampled_from((1, 2, 3, 4, 5, 7, 10, 2**31 + 1, 2**32))
 
 
