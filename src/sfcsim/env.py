@@ -89,17 +89,20 @@ class SfcEnv:
         self._step_totals = trace.step_totals().tolist()
         self._step_hours = trace.step_duration / 3600.0
         self._last_row = trace.n_steps - 1
+        self._n_cells = trace.n_cells
         # Observation divisors: the activities' is used only when normalized;
         # the counts' is 1 when not, so the kept counts block is float64 either way
         self._activity_scale = float(config.activity_scale or 1)
         self._alloc_scale = float(topology.max_vnfs_per_server if config.normalize_obs else 1)
         self._alloc_block: np.ndarray | None = None  # see encode_observation
+        self._energy_w = 0.0  # watts of the allocation, kept with _alloc_block
         self.sim: SimState | None = None
         self.done = True
         self.step_records: list[StepRecord] = []
         self._start = self._row = self._end = 0  # episode rows: [start, end)
         self._cum_reward = 0.0
         self._cum_lost = 0.0
+        self._sfc_steps = 0
 
     # ------------------------------------------------------------ dimensions
 
@@ -138,25 +141,67 @@ class SfcEnv:
         self._end = offset + length
         self._cum_reward = 0.0
         self._cum_lost = 0.0
+        self._sfc_steps = 0
         self.step_records = []
         self.done = False
-        self._encode_alloc()
+        self._allocation_changed()
         return self.encode_observation()
 
     def step(self, action: ActionTuple) -> tuple[np.ndarray, float, bool, StepRecord]:
         """Apply ``action`` (see ``ActionTuple``), simulate one window, and return
         ``(obs, reward, done, record)``; ``record`` is appended to ``step_records``."""
+        accepted, sfc, packets, lost, energy_w, reward = self._transition(*action)
+        record = StepRecord(
+            self._row - 1 - self._start, action.a, action.dc, action.server,
+            action.vnf_type, accepted, sfc, packets, lost, energy_w, reward,
+            self._cum_reward, self._cum_lost)
+        self.step_records.append(record)
+        return self.encode_observation(), reward, self.done, record
+
+    def step_into(self, components, out: np.ndarray) -> tuple[float, int, float, bool]:
+        """The training step: ``step`` without its record and its fresh vector.
+
+        ``components`` are the sampled head indices as Python ints (head 0
+        is 0-based, as in ``action_from_components``). The next observation
+        is written into ``out``, a float64 row of length ``obs_dim``, with
+        the bits ``encode_observation`` would give. Returns ``(reward, sfc,
+        packets, done)`` as Python scalars; ``episode_totals`` has the
+        running totals.
+        """
+        s0, s1, s2, s3 = components
+        _, sfc, packets, _, _, reward = self._transition(s0 + 1, s1, s2, s3)
+        activities = self.trace.steps[min(self._row, self._last_row)]
+        n_cells = self._n_cells
+        if self.config.normalize_obs:
+            np.divide(activities, self._activity_scale, out=out[:n_cells])
+        else:
+            out[:n_cells] = activities
+        out[n_cells:] = self._alloc_block
+        return reward, sfc, packets, self.done
+
+    def episode_totals(self) -> tuple[int, float, float, int]:
+        """The episode so far: (steps, cumulative reward, cumulative lost
+        packets, steps with the service chain complete)."""
+        return self._row - self._start, self._cum_reward, self._cum_lost, self._sfc_steps
+
+    def _transition(self, a: int, dc: int, server: int, vnf_type: int
+                    ) -> tuple[bool, int, float, float, float, float]:
+        """Apply one action and simulate one window; the reward formula.
+
+        Returns ``(accepted, sfc, packets, lost, energy_w, reward)`` and adds
+        the step to the episode totals."""
         if self.done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        outcome = self.sim.apply_action(*action)
-        if outcome.accepted and action.a in (1, 2):
-            self._encode_alloc()
-        self.sim.advance_to(self.sim.time + self._step_hours)
+        sim = self.sim
+        accepted = sim.apply_action(a, dc, server, vnf_type).accepted
+        if accepted and a in (1, 2):
+            self._allocation_changed()
+        sim.advance_to(sim.time + self._step_hours)
 
-        sfc = 1 if self.sim.sfc_complete() else 0
+        sfc = 1 if sim.sfc_complete() else 0
         packets = self._step_totals[self._row]
-        total_energy, _ = self.sim.energy_consumption(self.energy)
-        restarted = 1 if (action.a == 3 and outcome.accepted) else 0
+        total_energy = self._energy_w
+        restarted = 1 if (a == 3 and accepted) else 0
 
         cfg = self.config
         packet_loss_term = -(1 - sfc) * cfg.w_p * packets
@@ -168,15 +213,10 @@ class SfcEnv:
         lost = (1 - sfc) * packets
         self._cum_reward += reward
         self._cum_lost += lost
-        record = StepRecord(
-            self._row - self._start, action.a, action.dc, action.server,
-            action.vnf_type, outcome.accepted, sfc, packets, lost,
-            total_energy, reward, self._cum_reward, self._cum_lost)
-        self.step_records.append(record)
-
+        self._sfc_steps += sfc
         self._row += 1
         self.done = self._row >= self._end
-        return self.encode_observation(), reward, self.done, record
+        return accepted, sfc, packets, lost, total_energy, reward
 
     # ---------------------------------------------------------- observations
 
@@ -186,15 +226,18 @@ class SfcEnv:
         A new float64 vector of length ``obs_dim`` on every call, normalized
         when configured. The counts part is kept between calls: only creates
         and deletes change it, so it is rebuilt at ``reset`` and after an
-        accepted create or delete in ``step``, the only writers of the
-        simulator's allocation in an episode."""
+        accepted create or delete in ``step`` or ``step_into``, the only
+        writers of the simulator's allocation in an episode."""
         activities = self.trace.steps[min(self._row, self._last_row)]
         if self.config.normalize_obs:
             activities = activities / self._activity_scale
         return np.concatenate((activities, self._alloc_block))
 
-    def _encode_alloc(self) -> None:
+    def _allocation_changed(self) -> None:
+        """Rebuild what depends on the allocation alone: the observation's
+        counts block and the energy total (down instances draw power too)."""
         self._alloc_block = self.sim.vnf_counts().reshape(-1) / self._alloc_scale
+        self._energy_w, _ = self.sim.energy_consumption(self.energy)
 
 
 def write_step_records(records: list[StepRecord], path,

@@ -29,7 +29,10 @@ def orthogonal(rng: np.random.Generator, rows: int, cols: int,
 
 def clipped_zscore(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Standardize by running mean/variance and clip to [-10, 10]."""
-    return np.clip((x - mean) / np.sqrt(var + 1e-8), -10.0, 10.0)
+    z = x - mean
+    z /= np.sqrt(var + 1e-8)
+    np.maximum(z, -10.0, out=z)
+    return np.minimum(z, 10.0, out=z)
 
 
 def _log_softmax_np(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -68,7 +71,9 @@ class PolicyNetwork:
         for i, size in enumerate(self.head_sizes):
             self.params[f"wh{i}"] = orthogonal(rng, h2, size, 0.01)
             self.params[f"bh{i}"] = np.zeros(size)
-        # sample()'s constant index arrays: one row per head, its last category
+        # sample()'s constants: parameter names, and index arrays with one row
+        # per head and its last category
+        self._head_keys = [(f"wh{i}", f"bh{i}") for i in range(len(self.head_sizes))]
         self._head_rows = np.arange(len(self.head_sizes))[:, None]
         self._head_last = np.array(self.head_sizes)[:, None] - 1
 
@@ -94,18 +99,29 @@ class PolicyNetwork:
 
     def sample(self, obs: np.ndarray, rng: np.random.Generator
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sample one action per row; returns (components, joint_logp, values)."""
-        logits, values = self.forward_np(obs)
-        n_heads, batch = len(logits), logits[0].shape[0]
+        """Sample one action per row of a (batch, obs_dim) float64 array;
+        returns (components, joint_logp, values)."""
+        p = self.params
+        _, trunk = self._trunk_np(obs)
+        batch = trunk.shape[0]
         # Heads side by side, (head, row, category), padded with -inf: the
         # padding's probability is 0, so each row's cumulative sum ends on
-        # its last category and inverse-CDF sampling cannot land on it.
-        logp = np.full((n_heads, batch, max(self.head_sizes)), -np.inf)
-        for i, head_logits in enumerate(logits):
-            _log_softmax_np(head_logits, out=logp[i, :, :self.head_sizes[i]])
+        # its last category and inverse-CDF sampling cannot land on it. The
+        # row max, the shift and exp are elementwise or order-free, so they
+        # run once over the padded array; each head's log-sum-exp sums its
+        # own block, as the one-head log-softmax does.
+        logp = np.full((len(self.head_sizes), batch, max(self.head_sizes)), -np.inf)
+        blocks = [logp[i, :, :size] for i, size in enumerate(self.head_sizes)]
+        for block, (w, b) in zip(blocks, self._head_keys):
+            np.add(trunk @ p[w], p[b], out=block)
+        logp -= logp.max(axis=2, keepdims=True)
+        shifted_exp = np.exp(logp)
+        for i, block in enumerate(blocks):
+            block -= np.log(shifted_exp[i, :, :block.shape[1]].sum(axis=1, keepdims=True))
+        values = (trunk @ p["wv"] + p["bv"])[:, 0]
         cdf = np.cumsum(np.exp(logp), axis=2)
         # one draw for all heads: the same stream as one rng.random(batch) per head
-        u = rng.random((n_heads, batch))
+        u = rng.random((len(self.head_sizes), batch))
         idx = np.minimum((u[:, :, None] > cdf).sum(axis=2), self._head_last)
         chosen = logp[self._head_rows, np.arange(batch), idx]
         joint_logp = np.zeros(batch)

@@ -29,7 +29,7 @@ class PpoConfig:
     epochs: int = 4
     entropy_coef: float = 0.01
     value_coef: float = 0.5
-    max_grad_norm: float = 0.5
+    max_grad_norm: float | None = 0.5  # None: no clipping
     total_steps: int = 100_000
     seed: int = 0
     n_envs: int = 8
@@ -51,6 +51,12 @@ class PpoConfig:
             raise ValueError("n_envs, rollout_length, minibatches, epochs must be >= 1")
         if self.total_steps < 0:
             raise ValueError("total_steps must be >= 0")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        if self.max_grad_norm is not None and self.max_grad_norm <= 0:
+            raise ValueError("max_grad_norm must be None or > 0")
+        if min(self.entropy_coef, self.value_coef) < 0:
+            raise ValueError("entropy_coef and value_coef must be >= 0")
 
 
 class RunningObsStats:
@@ -63,9 +69,10 @@ class RunningObsStats:
 
     def update(self, batch: np.ndarray) -> None:
         n = batch.shape[0]
-        batch_mean = batch.mean(axis=0)
+        batch_mean = batch.sum(axis=0) / n  # batch.mean(axis=0), bit for bit
         dev = batch - batch_mean
-        batch_var = (dev * dev).sum(axis=0) / n  # batch.var(axis=0), bit for bit
+        dev *= dev
+        batch_var = dev.sum(axis=0) / n  # batch.var(axis=0), bit for bit
         delta = batch_mean - self.mean
         total = self.count + n
         self.mean += delta * n / total
@@ -239,7 +246,7 @@ def ppo_loss(policy: PolicyNetwork, batch: dict, config: PpoConfig
         g_lp = g_entropy * pr
         g_lp += (g_entropy * lp) * pr
         gathered = np.zeros_like(lp)
-        np.add.at(gathered, (rows, taken_idx[i]), g_new_logp)
+        gathered[rows, taken_idx[i]] = g_new_logp + 0.0  # 0.0 + g, as a sum would give
         g_lp += gathered
         g_logits = g_lp - pr * g_lp.sum(axis=-1, keepdims=True)
         g_trunk += g_logits @ p[f"wh{i}"].T
@@ -288,12 +295,21 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        # In place, each operation of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2
+        # and p -= lr * m_hat / (sqrt(v_hat) + eps) in the same order (same bits)
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g ** 2
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g ** 2
+            update = m / bc1
+            update *= self.lr
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            params[k] -= update
 
 
 @dataclass
@@ -322,14 +338,18 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
     """Run PPO on environments produced by ``env_factory(index)``.
 
     Rollouts interleave ``n_envs`` environments stepped in a fixed order so
-    results are seed-deterministic; episode totals are read from the envs'
-    ``StepRecord``s. On non-finite parameters, training stops and the last
-    finite parameters are returned with ``log.aborted`` set.
+    results are seed-deterministic. Each env advances through
+    ``step_into(components, row)``, which writes its next observation into
+    its row of one ``(n_envs, obs_dim)`` matrix and returns ``(reward, sfc,
+    packets, done)``; episode totals come from ``env.episode_totals()``.
+    On non-finite parameters, training stops and the last finite
+    parameters are returned with ``log.aborted`` set.
     """
     envs = [env_factory(i) for i in range(config.n_envs)]
     episode_counters = [0] * config.n_envs
     obs = np.stack([env.reset(derive_seed(config.seed, f"env{i}", 0))
                     for i, env in enumerate(envs)])
+    rows = list(obs)  # row views: each env writes its next observation in place
     if policy is None:
         policy = PolicyNetwork(envs[0].obs_dim, envs[0].head_sizes, seed=config.seed)
     log = TrainLog()
@@ -370,26 +390,23 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
             buf_logp[t] = joint_logp
             buf_values[t] = values
             rewards_t, dones_t = [], []
-            for i, (env, comps) in enumerate(zip(envs, components.tolist())):
-                next_obs, reward, done, record = env.step(
-                    env.action_from_components(comps))
+            for i, (env, comps, row) in enumerate(zip(envs, components.tolist(), rows)):
+                reward, sfc, packets, done = env.step_into(comps, row)
                 rewards_t.append(reward)
                 dones_t.append(float(done))
                 if log_env0 and i == 0:
                     log.env0_steps.append({
                         "step": global_step + t,
                         "reward": reward,
-                        "sfc": record.sfc,
-                        "packets": record.packets,
+                        "sfc": sfc,
+                        "packets": packets,
                     })
                 if done:
                     log.episodes.append(EpisodeStats(
-                        i, global_step + t, record.step + 1, record.cum_reward,
-                        record.cum_lost, sum(r.sfc for r in env.step_records)))
+                        i, global_step + t, *env.episode_totals()))
                     episode_counters[i] += 1
-                    next_obs = env.reset(
+                    row[:] = env.reset(
                         derive_seed(config.seed, f"env{i}", episode_counters[i]))
-                obs[i] = next_obs
             buf_rewards[t] = rewards_t
             buf_dones[t] = dones_t
             if normalizer is not None:

@@ -5,11 +5,11 @@ aggregates with; ``write_event_log`` exports the simulator's processed
 events (the golden event-log digest pins its bytes); ``head_log_probs``
 gives each action head's log-probabilities, from which tests build
 ``old_logp`` batches and check the sampler's joint log-probability.
-``encode_observation_oracle``, ``greedy_act_oracle`` and
-``random_act_oracle`` are the earlier forms of
-``SfcEnv.encode_observation``, ``StaticGreedyPolicy.act`` and
-``RandomPolicy.act``, kept as the oracles that the current ones must match
-bit for bit.
+``encode_observation_oracle``, ``greedy_act_oracle``,
+``random_act_oracle`` and ``sample_oracle`` are the earlier forms of
+``SfcEnv.encode_observation``, ``StaticGreedyPolicy.act``,
+``RandomPolicy.act`` and ``PolicyNetwork.sample``, kept as the oracles
+that the current ones must match bit for bit.
 """
 
 import numpy as np
@@ -44,6 +44,26 @@ def head_log_probs(net: PolicyNetwork, obs: np.ndarray) -> list[np.ndarray]:
     """Per-head log-softmax of the network's logits, one (B, size) array each."""
     logits, _ = net.forward_np(obs)
     return [_log_softmax_np(l) for l in logits]
+
+
+def sample_oracle(net: PolicyNetwork, obs: np.ndarray, rng
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``PolicyNetwork.sample`` through ``forward_np``: one log-softmax per
+    head, written into the -inf padded (head, row, category) array."""
+    logits, values = net.forward_np(obs)
+    n_heads, batch = len(logits), logits[0].shape[0]
+    logp = np.full((n_heads, batch, max(net.head_sizes)), -np.inf)
+    for i, head_logits in enumerate(logits):
+        _log_softmax_np(head_logits, out=logp[i, :, :net.head_sizes[i]])
+    cdf = np.cumsum(np.exp(logp), axis=2)
+    u = rng.random((n_heads, batch))
+    last = np.array(net.head_sizes)[:, None] - 1
+    idx = np.minimum((u[:, :, None] > cdf).sum(axis=2), last)
+    chosen = logp[np.arange(n_heads)[:, None], np.arange(batch), idx]
+    joint_logp = np.zeros(batch)
+    for head_logp in chosen:
+        joint_logp += head_logp
+    return idx.T, joint_logp, values
 
 
 def encode_observation_oracle(env) -> np.ndarray:

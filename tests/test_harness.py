@@ -286,6 +286,12 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"ppo": {"minibatches": 0}}, id="minibatches_0"),
     pytest.param({"ppo": {"epochs": 0}}, id="epochs_0"),
     pytest.param({"ppo": {"total_steps": -5}}, id="total_steps_negative"),
+    pytest.param({"ppo": {"learning_rate": 0}}, id="learning_rate_0"),
+    pytest.param({"ppo": {"learning_rate": -1e-4}}, id="learning_rate_negative"),
+    pytest.param({"ppo": {"max_grad_norm": 0}}, id="max_grad_norm_0"),
+    pytest.param({"ppo": {"max_grad_norm": -0.5}}, id="max_grad_norm_negative"),
+    pytest.param({"ppo": {"entropy_coef": -0.01}}, id="entropy_coef_negative"),
+    pytest.param({"ppo": {"value_coef": -0.5}}, id="value_coef_negative"),
     pytest.param({"cluster": {"k": 0}}, id="cluster_k_0"),
     pytest.param({"cluster": {"k_min": 0}}, id="cluster_k_min_0"),
     pytest.param({"cluster": {"k_max": 0}}, id="cluster_k_max_0"),
@@ -306,6 +312,10 @@ def test_cli_bad_config_exit_one(tmp_path, capsys, data):
     for section, key, _ in REMOVED_KEYS:
         if key in data.get(section, {}):
             assert f"unknown keys in [{section}]: ['{key}']" in err
+
+
+def test_null_max_grad_norm_is_valid():
+    assert config_from_dict({"ppo": {"max_grad_norm": None}}).ppo.max_grad_norm is None
 
 
 def test_cli_cluster_k_min_above_cell_count_exit_one(tmp_path, capsys):

@@ -1,11 +1,14 @@
-"""The lean env step and baseline rollouts against their earlier forms, bit for bit.
+"""The lean env and training steps, the sampler and the baseline rollouts
+against their earlier forms, bit for bit.
 
 ``SfcEnv.encode_observation`` must equal the two-divide encoding,
-``StaticGreedyPolicy.act`` the raw ``instances`` walk and ``RandomPolicy``'s
-block draws the scalar ``Generator.integers`` draws (all kept in
-``helpers``) over random action sequences, simulator states and seeds. The
-shared rejection outcomes must keep their reason strings, and the energy
-table a state keeps must follow the model it is asked about.
+``PolicyNetwork.sample`` the per-head sampler, ``StaticGreedyPolicy.act``
+the raw ``instances`` walk and ``RandomPolicy``'s block draws the scalar
+``Generator.integers`` draws (all kept in ``helpers``) over random action
+sequences, simulator states and seeds. The training step
+``SfcEnv.step_into`` must give what ``SfcEnv.step`` gives, as Python
+scalars. The shared rejection outcomes must keep their reason strings, and
+the energy table a state keeps must follow the model it is asked about.
 """
 
 from types import SimpleNamespace
@@ -14,9 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import encode_observation_oracle, greedy_act_oracle, random_act_oracle
+from helpers import (encode_observation_oracle, greedy_act_oracle, head_log_probs,
+                     random_act_oracle, sample_oracle)
 from sfcsim.env import ActionTuple, EnvConfig, SfcEnv
 from sfcsim.policies import RandomPolicy, StaticGreedyPolicy, make_baseline
+from sfcsim.policy import PolicyNetwork
 from sfcsim.seeding import entity_rng
 from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
                             SimState, Topology)
@@ -78,6 +83,79 @@ def test_reset_clears_the_kept_allocation_block():
     assert env.done and obs[2:].sum() > 0
     obs = env.reset(0)
     assert obs.tobytes() == np.array([0.5, 0.5] + [0.0] * 16).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=env_and_actions(), reliable=st.booleans())
+def test_step_into_matches_step(case, reliable):
+    # short episodes and traces end episodes partway through the actions;
+    # creates, deletes and rejected actions (full servers, no instance to
+    # delete or restart, down servers) come from the drawn actions, and
+    # reliable servers and VNFs let the chain complete
+    drawn, actions, seed = case
+    failure = FailureModel(mttf_server=1e9, mttf_vnf=1e9) if reliable else FAILURE
+    env, twin = (SfcEnv(drawn.trace, drawn.topology, failure, drawn.energy, drawn.config)
+                 for _ in range(2))
+    row = np.full(env.obs_dim, np.nan)
+    episode = 0
+    env.reset(seed)
+    row[:] = twin.reset(seed)
+    for a, dc, server, vnf_type in actions:
+        if env.done:
+            episode += 1
+            env.reset(seed + episode)
+            row[:] = twin.reset(seed + episode)
+        row[:] = np.nan  # step_into writes every entry
+        obs, reward, done, record = env.step(ActionTuple(a, dc, server, vnf_type))
+        result = twin.step_into([a - 1, dc, server, vnf_type], row)
+        # repr tells np.float64(1.0) from 1.0 and -0.0 from 0.0
+        assert repr(result) == repr((reward, record.sfc, record.packets, done))
+        assert [type(v) for v in result] == [float, int, float, bool]
+        assert row.tobytes() == obs.tobytes()
+        assert record.energy_w == env.sim.energy_consumption(env.energy)[0]
+        totals = (record.step + 1, record.cum_reward, record.cum_lost,
+                  sum(r.sfc for r in env.step_records))
+        assert repr(twin.episode_totals()) == repr(env.episode_totals()) == repr(totals)
+    if twin.done:
+        with pytest.raises(RuntimeError):
+            twin.step_into([3, 0, 0, 0], row)
+
+
+class FixedDraws:
+    """A stand-in generator whose ``random`` returns the given draws."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.integers(1, 16), obs_dim=st.integers(1, 12),
+       head_sizes=st.lists(st.integers(1, 10), min_size=1, max_size=5),
+       weight_scale=st.sampled_from((0.01, 1.0, 30.0)), seed=st.integers(0, 2**32 - 1))
+def test_sample_matches_per_head_oracle(batch, obs_dim, head_sizes, weight_scale, seed):
+    net = PolicyNetwork(obs_dim, tuple(head_sizes), hidden=(8, 8))
+    draw = np.random.default_rng(seed)
+    for key, value in net.params.items():  # heads far from the near-uniform init
+        net.params[key] = draw.normal(scale=weight_scale, size=value.shape)
+    obs = draw.normal(scale=3.0, size=(batch, obs_dim))
+
+    def assert_same(got, want):
+        assert got[0].dtype == want[0].dtype and got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+    rngs = [np.random.default_rng(seed + 1) for _ in range(2)]
+    assert_same(net.sample(obs, rngs[0]), sample_oracle(net, obs, rngs[1]))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    # draws that land exactly on a cdf value, which the comparison excludes
+    cdfs = [np.cumsum(np.exp(lp), axis=1) for lp in head_log_probs(net, obs)]
+    u = np.stack([cdf[np.arange(batch), draw.integers(0, cdf.shape[1], batch)]
+                  for cdf in cdfs])
+    assert_same(net.sample(obs, FixedDraws(u)), sample_oracle(net, obs, FixedDraws(u)))
 
 
 HEAD_SIZE = st.sampled_from((1, 2, 3, 4, 5, 7, 10, 2**31 + 1, 2**32))

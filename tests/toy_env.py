@@ -5,11 +5,13 @@ for reaching the last cell; the episode ends at the goal or after
 ``max_steps``. Only the first action head matters (0 = left, 1 = right);
 the remaining heads have size 1 so the same learner code runs unchanged.
 
-It keeps ``SfcEnv``'s step contract: ``reset`` starts a new
+It keeps ``SfcEnv``'s step contracts: ``reset`` starts a new
 ``step_records`` list and ``step`` returns ``(obs, reward, done, record)``
-with the ``StepRecord`` it appended there. A record's ``a`` is the move
-(0 or 1); the corridor has no service chain, so its SFC, packet and energy
-fields are zero.
+with the ``StepRecord`` it appended there; ``step_into`` writes the next
+observation into a given row and returns ``(reward, sfc, packets, done)``,
+and ``episode_totals`` has the episode's running totals. A record's ``a``
+is the move (0 or 1); the corridor has no service chain, so its SFC,
+packet and energy fields are zero.
 """
 
 import numpy as np
@@ -26,6 +28,8 @@ class CorridorEnv:
         self.pos = 0
         self.done = True
         self.step_records: list[StepRecord] = []
+        self._steps = 0
+        self._cum_reward = 0.0
 
     def action_from_components(self, components):
         return int(components[0])
@@ -39,20 +43,35 @@ class CorridorEnv:
         self.pos = 0
         self.done = False
         self.step_records = []
+        self._steps = 0
+        self._cum_reward = 0.0
         return self._obs()
 
-    def step(self, action: int):
+    def _move(self, action: int) -> float:
         if self.done:
             raise RuntimeError("step() on finished episode")
         self.pos = min(self.length - 1, max(0, self.pos + (1 if action == 1 else -1)))
         reward = 1.0 if self.pos == self.length - 1 else 0.0
-        step = len(self.step_records)
-        cum_reward = self.step_records[-1].cum_reward + reward if step else reward
-        record = StepRecord(step, action, 0, 0, 0, True, 0, 0.0, 0.0, 0.0,
-                            reward, cum_reward, 0.0)
+        self._steps += 1
+        self._cum_reward += reward
+        self.done = reward > 0 or self._steps >= self.max_steps
+        return reward
+
+    def step(self, action: int):
+        reward = self._move(action)
+        record = StepRecord(self._steps - 1, action, 0, 0, 0, True, 0, 0.0, 0.0, 0.0,
+                            reward, self._cum_reward, 0.0)
         self.step_records.append(record)
-        self.done = reward > 0 or step + 1 >= self.max_steps
         return self._obs(), reward, self.done, record
+
+    def step_into(self, components, out: np.ndarray):
+        reward = self._move(components[0])
+        out[:] = 0.0
+        out[self.pos] = 1.0
+        return reward, 0, 0.0, self.done
+
+    def episode_totals(self) -> tuple[int, float, float, int]:
+        return self._steps, self._cum_reward, 0.0, 0
 
 
 def greedy_return(policy_net, n_episodes: int = 20, **env_kwargs) -> float:
