@@ -55,7 +55,7 @@ class EnvConfig:
             raise ValueError("activity_scale must be None or > 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """The result of one step and one row of the step-trace export."""
 
@@ -90,10 +90,12 @@ class SfcEnv:
         self._step_hours = trace.step_duration / 3600.0
         self._last_row = trace.n_steps - 1
         self._n_cells = trace.n_cells
-        # Observation divisors: the activities' is used only when normalized;
-        # the counts' is 1 when not, so the kept counts block is float64 either way
-        self._activity_scale = float(config.activity_scale or 1)
-        self._alloc_scale = float(topology.max_vnfs_per_server if config.normalize_obs else 1)
+        # Observation divisors, 1.0 when not normalized: x / 1.0 is x, and the
+        # kept counts block is float64 either way
+        normalize = config.normalize_obs
+        self._activity_scale = float(config.activity_scale or 1) if normalize else 1.0
+        self._alloc_scale = float(topology.max_vnfs_per_server if normalize else 1)
+        self._obs_dim = self.obs_dim
         self._alloc_block: np.ndarray | None = None  # see encode_observation
         self._energy_w = 0.0  # watts of the allocation, kept with _alloc_block
         self.sim: SimState | None = None
@@ -144,7 +146,8 @@ class SfcEnv:
         self._sfc_steps = 0
         self.step_records = []
         self.done = False
-        self._allocation_changed()
+        self._alloc_block = self.sim.vnf_counts().reshape(-1) / self._alloc_scale
+        self._energy_w, _ = self.sim.energy_consumption(self.energy)
         return self.encode_observation()
 
     def step(self, action: ActionTuple) -> tuple[np.ndarray, float, bool, StepRecord]:
@@ -162,21 +165,14 @@ class SfcEnv:
         """The training step: ``step`` without its record and its fresh vector.
 
         ``components`` are the sampled head indices as Python ints (head 0
-        is 0-based, as in ``action_from_components``). The next observation
-        is written into ``out``, a float64 row of length ``obs_dim``, with
-        the bits ``encode_observation`` would give. Returns ``(reward, sfc,
-        packets, done)`` as Python scalars; ``episode_totals`` has the
-        running totals.
+        is 0-based, as in ``action_from_components``). ``encode_observation``
+        writes the next observation into ``out``, a float64 row of length
+        ``obs_dim``. Returns ``(reward, sfc, packets, done)`` as Python
+        scalars; ``episode_totals`` has the running totals.
         """
         s0, s1, s2, s3 = components
         _, sfc, packets, _, _, reward = self._transition(s0 + 1, s1, s2, s3)
-        activities = self.trace.steps[min(self._row, self._last_row)]
-        n_cells = self._n_cells
-        if self.config.normalize_obs:
-            np.divide(activities, self._activity_scale, out=out[:n_cells])
-        else:
-            out[:n_cells] = activities
-        out[n_cells:] = self._alloc_block
+        self.encode_observation(out)
         return reward, sfc, packets, self.done
 
     def episode_totals(self) -> tuple[int, float, float, int]:
@@ -194,8 +190,10 @@ class SfcEnv:
             raise RuntimeError("step() called on a finished episode; call reset()")
         sim = self.sim
         accepted = sim.apply_action(a, dc, server, vnf_type).accepted
-        if accepted and a in (1, 2):
-            self._allocation_changed()
+        if accepted and a in (1, 2):  # one count moved: its entry, then the energy sum
+            self._alloc_block[(dc * self.topology.servers_per_dc + server) * N_VNF_TYPES
+                              + vnf_type] = sim.alloc[dc, server, vnf_type] / self._alloc_scale
+            self._energy_w = sim.energy_total(self.energy)
         sim.advance_to(sim.time + self._step_hours)
 
         sfc = 1 if sim.sfc_complete() else 0
@@ -220,24 +218,22 @@ class SfcEnv:
 
     # ---------------------------------------------------------- observations
 
-    def encode_observation(self) -> np.ndarray:
+    def encode_observation(self, out: np.ndarray | None = None) -> np.ndarray:
         """Cell activities, then allocated-VNF counts in (dc, server, type) order.
 
-        A new float64 vector of length ``obs_dim`` on every call, normalized
-        when configured. The counts part is kept between calls: only creates
-        and deletes change it, so it is rebuilt at ``reset`` and after an
-        accepted create or delete in ``step`` or ``step_into``, the only
-        writers of the simulator's allocation in an episode."""
-        activities = self.trace.steps[min(self._row, self._last_row)]
-        if self.config.normalize_obs:
-            activities = activities / self._activity_scale
-        return np.concatenate((activities, self._alloc_block))
-
-    def _allocation_changed(self) -> None:
-        """Rebuild what depends on the allocation alone: the observation's
-        counts block and the energy total (down instances draw power too)."""
-        self._alloc_block = self.sim.vnf_counts().reshape(-1) / self._alloc_scale
-        self._energy_w, _ = self.sim.energy_consumption(self.energy)
+        Written into ``out``, a float64 vector of length ``obs_dim``, or into
+        a new one, and returned; normalized when configured. The counts part
+        is kept between calls: ``reset`` builds it, and an accepted create or
+        delete in ``_transition``, the only writers of the simulator's
+        allocation in an episode, rewrites the one entry it changed; the
+        energy total (down instances draw power too) is kept with it."""
+        if out is None:
+            out = np.empty(self._obs_dim)
+        n_cells = self._n_cells
+        np.divide(self.trace.steps[min(self._row, self._last_row)], self._activity_scale,
+                  out=out[:n_cells])
+        out[n_cells:] = self._alloc_block
+        return out
 
 
 def write_step_records(records: list[StepRecord], path,

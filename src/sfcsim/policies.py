@@ -6,6 +6,7 @@ policy only looks at the observation; the rule-based baseline may inspect the
 simulator state directly.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,16 +122,27 @@ class StaticGreedyPolicy:
                 if target is not None:
                     return ActionTuple(1, target[0], target[1], vnf_type)
         # Strict > keeps the first instance, in walk order, of the highest risk.
-        best_risk, target = self.risk_threshold, None
+        t = best_risk = self.risk_threshold
+        target = None
         now, mttf_vnf = sim.time, sim.failure.mttf_vnf
+        # Skip rule: no instance of age <= floor = mttf * L * (1 - 1e-9), where
+        # L = -log1p(-t), scores above t. The floor and age / mttf carry under
+        # 1e-15 relative error and exp one ulp, so the computed exp(-age/mttf)
+        # >= (1 - t) * (1 + L * (1e-9 - 1e-15)) * (1 - 2.3e-16) > 1 - t while
+        # L >= 1e-6 (t >= 1e-6), and 1 - exp(...) rounds to at most t. Else
+        # (or for a subnormal floor) every up instance is scored. As the floor
+        # is >= 0, the unclamped age ``now - age_anchor`` gives the same answer.
+        floor = (-mttf_vnf * math.log1p(-t) * (1 - 1e-9)
+                 if 1e-6 <= t < 1 and mttf_vnf > 1e-300 else -math.inf)
         for row, n_allocated in zip(sim.servers, sim.dc_alloc):
             if not n_allocated:
                 continue
             for server in row:
-                if not server.up:
+                if not (server.up and server.vnfs):
                     continue
                 for inst in server.vnfs:
-                    if inst.up and (risk := vnf_fail_risk(inst, now, mttf_vnf)) > best_risk:
+                    if (inst.up and now - inst.age_anchor > floor
+                            and (risk := vnf_fail_risk(inst, now, mttf_vnf)) > best_risk):
                         best_risk = risk
                         target = (server.dc_id, server.server_id, inst.vnf_type)
         if target is not None:

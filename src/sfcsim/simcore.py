@@ -19,7 +19,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class EnergyModel:
             raise ValueError("wattages must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class VnfInstance:
     # Every instance draws the same power; ``_energy_table`` relies on it.
     cpu_units: ClassVar[int] = 1
@@ -103,7 +103,7 @@ class VnfInstance:
     rng: Pcg64Stream = field(default=None, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerState:
     dc_id: int
     server_id: int
@@ -115,8 +115,7 @@ class ServerState:
     rng: Pcg64Stream = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     """One processed failure or repair event."""
 
     time: float
@@ -128,8 +127,7 @@ class SimEvent:
     vnf_type: int | None = None
 
 
-@dataclass(frozen=True)
-class ActionOutcome:
+class ActionOutcome(NamedTuple):
     accepted: bool
     reason: str = "ok"
     instance_id: int | None = None
@@ -225,7 +223,7 @@ class SimState:
         self._dc_alloc = [0] * topology.n_dcs
         self._up_counts = [0] * N_VNF_TYPES
         self._vnf_streams: list[Pcg64Stream] = []
-        self._energy_model, self._energy_watts = None, ()  # energy_consumption's table
+        self._energy_model, self._energy_watts = None, ()  # energy_total's table
         streams = iter(entity_streams(self.seed, _server_tags(
             topology.n_dcs, topology.servers_per_dc)))
         self.servers = [
@@ -424,9 +422,12 @@ class SimState:
         Instances that are down (or on a down server) remain allocated and
         keep drawing power.
         """
+        total = self.energy_total(model)  # also keeps the model's table
+        return total, [self._energy_watts[n] for n in self._dc_alloc]
+
+    def energy_total(self, model: EnergyModel) -> float:
+        """``energy_consumption``'s total alone: the per-DC watts summed in DC order."""
         if model is not self._energy_model:
             n_max = self.topology.servers_per_dc * self.topology.max_vnfs_per_server
             self._energy_model, self._energy_watts = model, _energy_table(model, n_max)
-        per_dc = [self._energy_watts[n] for n in self._dc_alloc]
-        return float(sum(per_dc)), per_dc
-
+        return float(sum(map(self._energy_watts.__getitem__, self._dc_alloc)))

@@ -61,8 +61,9 @@ class SteppedTrace:
             raise ValueError("steps must be a 2-D matrix (n_steps, n_cells)")
         if self.steps.shape[1] != len(self.cell_ids):
             raise ValueError("column count must match cell_ids")
-        if np.any(self.steps < 0):
-            raise ValueError("activity values must be nonnegative")
+        # min is nan if any value is; two reductions, no temporary array
+        if self.steps.size and not (self.steps.min() >= 0 and self.steps.max() < math.inf):
+            raise ValueError("activity values must be finite and nonnegative")
 
     @property
     def n_steps(self) -> int:
@@ -129,9 +130,10 @@ def load_cdr_file(path, cell_filter: set[int] | None = None) -> CdrLoadResult:
     """Parse internet-activity records from a tab-separated CDR file.
 
     Rows with an empty internet column carry no internet measurement and are
-    ignored. Malformed rows (wrong column count, unparseable fields) are
-    counted and skipped; more than 10% malformed rows aborts with
-    TraceFormatError, since that signals the wrong file format.
+    ignored. Malformed rows (wrong column count, unparseable fields, an
+    activity that is negative or not finite) are counted and skipped; more
+    than 10% malformed rows aborts with TraceFormatError, since that signals
+    the wrong file format.
     """
     records: list[ActivityRecord] = []
     malformed = 0
@@ -154,7 +156,7 @@ def load_cdr_file(path, cell_filter: set[int] | None = None) -> CdrLoadResult:
             except ValueError:
                 malformed += 1
                 continue
-            if activity is None or activity < 0:
+            if activity is None or not 0 <= activity < math.inf:  # nan fails both
                 if activity is not None:
                     malformed += 1
                 continue

@@ -11,6 +11,7 @@ scalars. The shared rejection outcomes must keep their reason strings, and
 the energy table a state keeps must follow the model it is asked about.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,13 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (encode_observation_oracle, greedy_act_oracle, head_log_probs,
-                     random_act_oracle, sample_oracle)
-from sfcsim.env import ActionTuple, EnvConfig, SfcEnv
+                     instances, random_act_oracle, sample_oracle)
+from sfcsim.env import ActionTuple, EnvConfig, SfcEnv, StepRecord
 from sfcsim.policies import RandomPolicy, StaticGreedyPolicy, make_baseline
 from sfcsim.policy import PolicyNetwork
 from sfcsim.seeding import entity_rng
-from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
-                            SimState, Topology)
+from sfcsim.simcore import (ActionOutcome, EnergyModel, FailureModel, N_VNF_TYPES,
+                            SERVER_FAIL, SimEvent, SimState, Topology, vnf_fail_risk)
 from sfcsim.trace import SteppedTrace
 
 FAILURE = FailureModel(mttf_server=3.0, mttr_server=0.5, mttf_vnf=0.5, mttr_vnf=0.1)
@@ -216,6 +217,7 @@ GREEDY_TOPOLOGY = Topology(n_dcs=4, servers_per_dc=2, max_vnfs_per_server=3,
                            max_same_type_per_server=2)
 DC = st.integers(0, GREEDY_TOPOLOGY.n_dcs - 1)
 SERVER = st.integers(0, GREEDY_TOPOLOGY.servers_per_dc - 1)
+INSTANCE = st.integers(0, 2**8)  # taken modulo the instances there are
 OPERATION = st.one_of(
     # several creates between advances give instances of equal age: risk ties
     st.tuples(st.just("act"), st.sampled_from((1, 1, 1, 2, 3, 4)), DC, SERVER,
@@ -223,17 +225,42 @@ OPERATION = st.one_of(
     st.tuples(st.just("advance"), st.floats(0.0, 1.0)),
     st.tuples(st.just("fail_server"), DC, SERVER),
     st.tuples(st.just("greedy")),
+    # an age within a few ulps of the skip floor, or a plain age if there is none
+    st.tuples(st.just("age_at_floor"), INSTANCE, st.integers(-2, 2)),
+    # an anchor past ``now``, as a repair's downtime shift can leave it
+    st.tuples(st.just("anchor_past_now"), INSTANCE, st.floats(0.0, 2.0)),
 )
+# below 1e-6, at 1 and above, the greedy scan scores every up instance
+GREEDY_THRESHOLDS = (-0.5, 0.0, 1e-7, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-6, 1.0, 1.5)
+GREEDY_MTTF_VNF = (0.05, 0.5, 24.0, 1e4)
 
 
-@settings(max_examples=300, deadline=None)
+def skip_floor(threshold: float, mttf_vnf: float) -> float:
+    """The age at or below which the greedy scan skips an instance (its formula)."""
+    if 1e-6 <= threshold < 1:
+        return -mttf_vnf * math.log1p(-threshold) * (1 - 1e-9)
+    return -math.inf
+
+
+def nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(max_examples=400, deadline=None)
 @given(seed=st.integers(0, 2**16), operations=st.lists(OPERATION, max_size=80),
-       threshold=st.sampled_from((0.0, 0.1, 0.5, 0.9)))
-def test_greedy_scan_matches_instances_walk(seed, operations, threshold):
-    state = SimState(GREEDY_TOPOLOGY, FAILURE, seed=seed)
+       threshold=st.sampled_from(GREEDY_THRESHOLDS),
+       mttf_vnf=st.sampled_from(GREEDY_MTTF_VNF))
+def test_greedy_scan_matches_instances_walk(seed, operations, threshold, mttf_vnf):
+    failure = FailureModel(mttf_server=3.0, mttr_server=0.5, mttf_vnf=mttf_vnf,
+                           mttr_vnf=0.1)
+    state = SimState(GREEDY_TOPOLOGY, failure, seed=seed)
     env = SimpleNamespace(sim=state)
     policy = StaticGreedyPolicy(risk_threshold=threshold)
+    floor = skip_floor(threshold, mttf_vnf)
     for op in operations:
+        placed = [inst for _, inst in instances(state)]
         if op[0] == "act":
             state.apply_action(*op[1:])
         elif op[0] == "advance":
@@ -243,11 +270,54 @@ def test_greedy_scan_matches_instances_walk(seed, operations, threshold):
             if server.up:
                 state._push(state.time, SERVER_FAIL, server)
                 state.advance_to(state.time)
+        elif op[0] == "age_at_floor" and placed:
+            age = nudge(floor if floor > 0 else mttf_vnf, op[2])
+            placed[op[1] % len(placed)].age_anchor = state.time - age
+        elif op[0] == "anchor_past_now" and placed:
+            placed[op[1] % len(placed)].age_anchor = state.time + op[2]
         assert state.dc_alloc == tuple(state.alloc.sum(axis=(1, 2)).tolist())
         action = policy.act(None, env)
         assert action == greedy_act_oracle(policy, env)
         if op[0] == "greedy":
             state.apply_action(*action)
+
+
+# 2.3070774067689197e-09 is below 1e-6, where the skip rule's bound fails: at
+# mttf_vnf 0.5 the age at its floor scores above it
+@pytest.mark.parametrize("mttf_vnf", GREEDY_MTTF_VNF + (1e-3, 8760.0))
+@pytest.mark.parametrize("threshold", GREEDY_THRESHOLDS + (1e-5, 0.25, 1 - 2**-53,
+                                                          2.3070774067689197e-09))
+def test_greedy_skip_floor_holds_within_one_ulp(threshold, mttf_vnf):
+    # At time 0 an anchor of -age gives the age exactly, so ages land on the
+    # floor, on mttf * -log1p(-threshold) and one ulp either side of each;
+    # with the chain complete, greedy restarts whichever scores above the
+    # threshold, or does nothing.
+    state = SimState(GREEDY_TOPOLOGY, FailureModel(mttf_server=1e12, mttf_vnf=mttf_vnf),
+                     seed=0)
+    env = SimpleNamespace(sim=state)
+    policy = StaticGreedyPolicy(risk_threshold=threshold)
+    for vnf_type in range(N_VNF_TYPES):
+        state.apply_action(1, 3, vnf_type // 2, vnf_type)
+    floor = skip_floor(threshold, mttf_vnf)
+    ages = [0.0, mttf_vnf]
+    if 0 < threshold < 1:
+        exact = -mttf_vnf * math.log1p(-threshold)
+        ages += [nudge(base, ulps) for base in (exact, exact * (1 - 1e-9))
+                 for ulps in (-1, 0, 1)]
+    for age in ages:
+        for inst in state.servers[3][0].vnfs + state.servers[3][1].vnfs:
+            inst.age_anchor = -age
+            assert state.time - inst.age_anchor == age
+            if age <= floor:  # the bound the skip rests on
+                assert vnf_fail_risk(inst, state.time, mttf_vnf) <= threshold
+        assert policy.act(None, env) == greedy_act_oracle(policy, env)
+    # anchors past now: the clamped age is 0, a risk of 0
+    for i, (_, inst) in enumerate(instances(state)):
+        inst.age_anchor = state.time + 0.5 * (i + 1)
+    action = policy.act(None, env)
+    assert action == greedy_act_oracle(policy, env)
+    if threshold < 0:
+        assert action == ActionTuple(3, 3, 0, 0)
 
 
 def test_greedy_restart_tie_keeps_first_in_walk_order():
@@ -308,3 +378,85 @@ def test_kept_energy_table_follows_the_model():
                 total += watts
             per_dc.append(total)
         assert state.energy_consumption(model) == (float(sum(per_dc)), per_dc)
+
+
+@st.composite
+def env_steps_and_reset(draw):
+    n_cells = draw(st.integers(1, 3))
+    n_steps = draw(st.integers(1, 40))
+    trace = SteppedTrace(list(range(n_cells)), np.ones((n_steps, n_cells)),
+                         step_duration=draw(st.sampled_from([300, 3600])))
+    max_vnfs = draw(st.integers(1, 4))
+    topo = Topology(n_dcs=draw(st.integers(1, 2)), servers_per_dc=draw(st.integers(1, 2)),
+                    max_vnfs_per_server=max_vnfs,
+                    max_same_type_per_server=draw(st.integers(1, max_vnfs)))
+    config = EnvConfig(normalize_obs=draw(st.booleans()), activity_scale=2.0)
+    energy = draw(st.sampled_from((EnergyModel(), EnergyModel(cpu_watts=10.1, mem_watts=0.3))))
+    env = SfcEnv(trace, topo, FAILURE, energy, config)
+    # creates and deletes on few targets, so that many deletes find an instance
+    action = st.tuples(st.sampled_from((1, 1, 1, 2, 2, 3, 4)), st.integers(0, topo.n_dcs - 1),
+                       st.integers(0, topo.servers_per_dc - 1), st.integers(0, 1))
+    actions = draw(st.lists(action, max_size=40))
+    return env, actions, draw(st.integers(0, len(actions))), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=env_steps_and_reset(), use_step_into=st.booleans())
+def test_allocation_delta_matches_full_rebuild(case, use_step_into):
+    # after every step, the kept counts block and energy total equal what a
+    # full rebuild from the simulator gives, bit for bit; an episode's end
+    # and a reset partway start them afresh
+    env, actions, reset_at, seed = case
+    scale = env.topology.max_vnfs_per_server if env.config.normalize_obs else 1
+    row = np.empty(env.obs_dim)
+    env.reset(seed)
+    for i, (a, dc, server, vnf_type) in enumerate(actions):
+        if env.done or i == reset_at:
+            env.reset(seed + i + 1)
+        if use_step_into:
+            env.step_into([a - 1, dc, server, vnf_type], row)
+        else:
+            env.step(ActionTuple(a, dc, server, vnf_type))
+        block = env.sim.vnf_counts().reshape(-1) / scale
+        assert env._alloc_block.tobytes() == block.tobytes()
+        total = env.sim.energy_consumption(env.energy)[0]
+        assert type(env._energy_w) is float and repr(env._energy_w) == repr(total)
+        assert repr(env.sim.energy_total(env.energy)) == repr(total)
+
+
+def test_records_keep_fields_defaults_equality_and_immutability():
+    event = SimEvent(1.25, 3, SERVER_FAIL, 0, 1)
+    assert SimEvent._fields == ("time", "seq", "kind", "dc_id", "server_id",
+                                "instance_id", "vnf_type")
+    assert (event.instance_id, event.vnf_type) == (None, None)
+    assert event == SimEvent(1.25, 3, SERVER_FAIL, 0, 1, None, None)
+    assert event != SimEvent(1.25, 4, SERVER_FAIL, 0, 1)
+    outcome = ActionOutcome(True)
+    assert ActionOutcome._fields == ("accepted", "reason", "instance_id")
+    assert (outcome.reason, outcome.instance_id) == ("ok", None)
+    assert outcome == ActionOutcome(True, "ok", None) != ActionOutcome(True, "created", 0)
+    for record, field in ((event, "time"), (event, "vnf_type"), (outcome, "accepted"),
+                          (outcome, "reason")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    # the slotted state and step records take no attribute outside their fields
+    state = SimState(GREEDY_TOPOLOGY, FailureModel(mttf_server=1e12, mttf_vnf=1e12), seed=0)
+    state.apply_action(1, 0, 0, 0)
+    server = state.servers[0][0]
+    record = StepRecord(0, 1, 0, 0, 0, True, 0, 1.0, 1.0, 70.72, -1.0, -1.0, 1.0)
+    for obj in (server, server.vnfs[0], record):
+        with pytest.raises(AttributeError):
+            obj.not_a_field = 1
+
+
+def test_outcomes_and_event_lists_read_as_the_bench_tracer_reads_them():
+    state = SimState(GREEDY_TOPOLOGY, FAILURE, seed=2)
+    assert state.apply_action(1, 0, 0, 0).accepted is True
+    assert state.apply_action(3, 0, 0, 0).accepted is True
+    assert state.apply_action(2, 0, 1, 0).accepted is False
+    assert state.apply_action(4, 0, 0, 0).accepted is True
+    events = state.advance_to(50.0)
+    assert len(events) > 0 and all(type(ev) is SimEvent for ev in events)
+    assert [ev.time for ev in events] == sorted(ev.time for ev in events) == \
+        [ev[0] for ev in events]
+    assert len(state.advance_to(50.0)) == 0

@@ -69,6 +69,18 @@ def test_load_cdr_counts_malformed_rows(tmp_path):
     assert len(result.records) == 20
 
 
+def test_load_cdr_counts_non_finite_activity_as_malformed(tmp_path):
+    path = tmp_path / "cdr.txt"
+    rows = [(i, 1383260400000, 1.0) for i in range(60)]
+    rows[3:3] = [(90, 1383260400000, "nan"), (91, 1383260400000, "inf"),
+                 (92, 1383260400000, "-inf"), (93, 1383260400000, "NaN"),
+                 (94, 1383260400000, "-1.5")]
+    write_cdr(path, rows)
+    result = load_cdr_file(path)
+    assert result.malformed_rows == 5 and result.total_rows == 65
+    assert [r.cell_id for r in result.records] == list(range(60))
+
+
 def test_load_cdr_mostly_malformed_is_fatal(tmp_path):
     path = tmp_path / "cdr.txt"
     path.write_text("garbage line\n" * 10 + "42\t1\t39\t\t\t\t\t1.0\n")
@@ -79,6 +91,21 @@ def test_load_cdr_mostly_malformed_is_fatal(tmp_path):
 def test_load_cdr_unreadable_file_raises(tmp_path):
     with pytest.raises(OSError):
         load_cdr_file(tmp_path / "missing.txt")
+
+
+# ----------------------------------------------------------------- stepped trace
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -0.5e-300])
+def test_stepped_trace_rejects_negative_or_non_finite_activity(bad):
+    with pytest.raises(ValueError, match="activity values must be finite and nonnegative"):
+        SteppedTrace([1, 2], [[1.0, bad], [2.0, 3.0]])
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        SteppedTrace([1, 2], [[1.0, 2.0], [bad, 3.0]])
+
+
+def test_stepped_trace_accepts_zero_and_empty_matrices():
+    assert SteppedTrace([1, 2], [[0.0, -0.0], [2.0, 3.0]]).step_totals().tolist() == [0.0, 5.0]
+    assert SteppedTrace([1, 2], np.zeros((0, 2))).n_steps == 0
 
 
 # ----------------------------------------------------------------- aggregation
