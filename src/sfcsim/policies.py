@@ -129,9 +129,9 @@ class StaticGreedyPolicy:
         # L = -log1p(-t), scores above t. The floor and age / mttf carry under
         # 1e-15 relative error and exp one ulp, so the computed exp(-age/mttf)
         # >= (1 - t) * (1 + L * (1e-9 - 1e-15)) * (1 - 2.3e-16) > 1 - t while
-        # L >= 1e-6 (t >= 1e-6), and 1 - exp(...) rounds to at most t. Else
-        # (or for a subnormal floor) every up instance is scored. As the floor
-        # is >= 0, the unclamped age ``now - age_anchor`` gives the same answer.
+        # L >= 1e-6 (t >= 1e-6), and 1 - exp(...) rounds to at most t. Else, or
+        # if mttf <= 1e-300 (the floor could be subnormal), every up instance is
+        # scored. As the floor is >= 0, the unclamped ``now - age_anchor`` serves.
         floor = (-mttf_vnf * math.log1p(-t) * (1 - 1e-9)
                  if 1e-6 <= t < 1 and mttf_vnf > 1e-300 else -math.inf)
         for row, n_allocated in zip(sim.servers, sim.dc_alloc):
