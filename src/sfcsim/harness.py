@@ -43,28 +43,30 @@ def build_trace(cfg: ExperimentConfig) -> trace_mod.SteppedTrace:
         return trace_mod.generate_synthetic_trace(
             tc.n_cells, tc.n_steps, derive_seed(cfg.master_seed, "trace"),
             profile, tc.step_duration, tc.origin_time_ms)
-    if tc.source == "csv":
-        if not tc.path:
-            raise ConfigError("trace.source=csv requires trace.path")
-        return trace_mod.read_trace_csv(tc.path)
-    if tc.source == "cdr":
-        if not tc.path:
-            raise ConfigError(
-                "trace.source=cdr requires trace.path pointing at the CDR "
-                "dataset; use source=synthetic when the dataset is absent")
-        cell_filter = set(cfg.cells) if cfg.cells is not None else None
+    if tc.source not in ("csv", "cdr"):
+        raise ConfigError(f"unknown trace.source {tc.source!r}")
+    if not tc.path:
+        raise ConfigError("trace.source=csv requires trace.path" if tc.source == "csv" else
+                          "trace.source=cdr requires trace.path pointing at the CDR "
+                          "dataset; use source=synthetic when the dataset is absent")
+    cell_filter = set(cfg.cells) if cfg.cells is not None else None
+    # A file that cannot be read or parsed is a fault of the input, not of the run.
+    try:
+        if tc.source == "csv":
+            return trace_mod.read_trace_csv(tc.path)
         result = trace_mod.load_cdr_file(tc.path, cell_filter)
-        if not result.records:
-            raise ConfigError(f"no usable records in {tc.path}")
-        cells = sorted({r.cell_id for r in result.records})
-        step_ms = tc.step_duration * 1000
-        t_min = min(r.timestamp_ms for r in result.records)
-        t_max = max(r.timestamp_ms for r in result.records)
-        start = (t_min // step_ms) * step_ms
-        end = ((t_max // step_ms) + 1) * step_ms
-        return trace_mod.aggregate_steps(result.records, cells,
-                                         tc.step_duration, (start, end))
-    raise ConfigError(f"unknown trace.source {tc.source!r}")
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"trace.path {tc.path}: {exc}") from exc
+    if not result.records:
+        raise ConfigError(f"no usable records in {tc.path}")
+    cells = sorted({r.cell_id for r in result.records})
+    step_ms = tc.step_duration * 1000
+    t_min = min(r.timestamp_ms for r in result.records)
+    t_max = max(r.timestamp_ms for r in result.records)
+    start = (t_min // step_ms) * step_ms
+    end = ((t_max // step_ms) + 1) * step_ms
+    return trace_mod.aggregate_steps(result.records, cells,
+                                     tc.step_duration, (start, end))
 
 
 def select_managed_cells(cfg: ExperimentConfig,

@@ -27,75 +27,35 @@ class NoopPolicy:
         return ActionTuple(4, 0, 0, 0)
 
 
-_MAX_HEAD = 2**32  # largest head size Generator.integers draws from one 32-bit word
 _BLOCK = 256  # acts RandomPolicy draws at once; ``reset`` drops those left over
-_MASK32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
 
 
 class RandomPolicy:
     """Uniform over the valid action space, seed-deterministic.
 
     Each act is four bounded draws ``entity_rng(seed, 30).integers(size)``,
-    one per head in order, and equals them bit for bit. NumPy draws a size
-    up to 2**32 by Lemire's method (arXiv 1805.10941) on PCG64's 32-bit
-    words, low half of each 64-bit output first: ``m = word * size`` gives
-    ``m >> 32``, unless ``m mod 2**32 < (2**32 - size) % size`` rejects the
-    word and the next one is tried; a head of size 1 takes no word. That is
-    fixed, so acts are drawn a block at a time from one ``random_raw`` call.
+    one per head in order. NumPy draws each element of an array of bounds as
+    it draws one scalar bound, in C order, so acts are drawn a block at a
+    time from one ``integers`` call and equal the scalar draws bit for bit.
     """
 
     def __init__(self, head_sizes: tuple[int, int, int, int], seed: int = 0):
-        if not all(1 <= size <= _MAX_HEAD for size in head_sizes):
-            raise ValueError(f"head sizes must be in 1..2**32, got {head_sizes}")
         self.head_sizes = head_sizes
-        # heads that take a word, their sizes and rejection thresholds
-        self._heads = [j for j, size in enumerate(head_sizes) if size > 1]
-        self._sizes = np.array([head_sizes[j] for j in self._heads], dtype=np.uint64)
-        self._thresholds = (_MAX_HEAD - self._sizes) % self._sizes
+        self._sizes = np.array(head_sizes, dtype=np.int64)
         self.reset(seed)
 
     def reset(self, seed: int) -> None:
         self._rng = entity_rng(seed, 30)
-        self._words = np.empty(0, dtype=np.uint32)  # drawn, not yet used
-        self._next = 0
         self._acts = iter(())
 
     def act(self, obs, env) -> ActionTuple:
         action = next(self._acts, None)
         if action is None:
-            self._acts = iter(self._draw_block())
+            comps = self._rng.integers(self._sizes, size=(_BLOCK, len(self._sizes)))
+            comps[:, 0] += 1
+            self._acts = map(ActionTuple._make, comps.tolist())
             action = next(self._acts)
         return action
-
-    def _take(self, n: int) -> np.ndarray:
-        """The next n words of the generator's 32-bit stream."""
-        if len(self._words) - self._next < n:
-            raw = self._rng.bit_generator.random_raw((n + 1) // 2)
-            self._words = np.concatenate(
-                (self._words[self._next:], raw.astype("<u8").view("<u4")))
-            self._next = 0
-        self._next += n
-        return self._words[self._next - n:self._next]
-
-    def _draw_block(self) -> list[ActionTuple]:
-        """``_BLOCK`` acts, or fewer: up to and including the first act that
-        meets a rejected word, which is drawn word by word."""
-        k = len(self._heads)
-        m = self._take(_BLOCK * k).reshape(_BLOCK, k) * self._sizes
-        rejected = ((m & _MASK32) < self._thresholds).any(axis=1)
-        n_fast = int(rejected.argmax()) if rejected.any() else _BLOCK
-        comps = np.zeros((n_fast + (n_fast < _BLOCK), len(self.head_sizes)), dtype=np.int64)
-        comps[:n_fast, self._heads] = m[:n_fast] >> _U32
-        if n_fast < _BLOCK:
-            self._next -= (_BLOCK - n_fast) * k  # give back this act's words and later ones
-            for col, size, threshold in zip(self._heads, self._sizes, self._thresholds):
-                word_m = self._take(1)[0] * size
-                while (word_m & _MASK32) < threshold:
-                    word_m = self._take(1)[0] * size
-                comps[n_fast, col] = word_m >> _U32
-        comps[:, 0] += 1
-        return list(map(ActionTuple._make, comps.tolist()))
 
 
 class StaticGreedyPolicy:

@@ -97,9 +97,8 @@ class VnfInstance:
     # Start of the current risk-accumulation window; pushed forward while the
     # host server is down so frozen time does not age the instance.
     age_anchor: float = 0.0
-    due: float = math.inf  # pending failure if up, pending repair if down
-    suspended: float | None = None  # hours left to ``due`` while the host is down
-    event_token: int = 0
+    due: float = math.inf  # failure if up, repair if down; inf if deleted or suspended
+    suspended: float | None = None  # hours left to the event while the host is down
     rng: Pcg64Stream = field(default=None, repr=False)
 
 
@@ -111,7 +110,6 @@ class ServerState:
     vnfs: list[VnfInstance] = field(default_factory=list)
     due: float = math.inf  # pending failure if up, pending repair if down
     down_since: float | None = None
-    event_token: int = 0
     rng: Pcg64Stream = field(default=None, repr=False)
 
 
@@ -204,8 +202,9 @@ class SimState:
 
     Each server and instance has one pending event, at its ``due`` time: a
     failure if it is up, a repair if not. Heap entries are ``(time, seq,
-    kind, server, instance or None, token)``; an entry whose token no longer
-    matches its entity's ``event_token`` is dead and skipped.
+    server, instance or None)``; an entry is live exactly when its time is
+    its entity's ``due``, and dead ones are skipped. A deleted or suspended
+    instance has ``due = inf``.
     """
 
     def __init__(self, topology: Topology, failure: FailureModel, seed: int = 0):
@@ -237,11 +236,10 @@ class SimState:
 
     # ---------------------------------------------------------------- events
 
-    def _push(self, time: float, kind: str, server: ServerState,
+    def _push(self, time: float, server: ServerState,
               instance: VnfInstance | None = None) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, server, instance,
-                                    (instance or server).event_token))
+        heapq.heappush(self._heap, (time, self._seq, server, instance))
 
     def _schedule(self, server: ServerState, inst: VnfInstance | None = None) -> None:
         """Draw and queue the next event of ``inst``, or of ``server`` if None:
@@ -249,13 +247,12 @@ class SimState:
         f = self.failure
         if inst is None:
             entity = server
-            kind, mean = ((SERVER_FAIL, f.mttf_server) if server.up
-                          else (SERVER_REPAIR, f.mttr_server))
+            mean = f.mttf_server if server.up else f.mttr_server
         else:
             entity = inst
-            kind, mean = (VNF_FAIL, f.mttf_vnf) if inst.up else (VNF_REPAIR, f.mttr_vnf)
+            mean = f.mttf_vnf if inst.up else f.mttr_vnf
         entity.due = self.time + sample_exponential(entity.rng, mean)
-        self._push(entity.due, kind, server, inst)
+        self._push(entity.due, server, inst)
 
     def advance_to(self, t: float) -> list[SimEvent]:
         """Process all pending events up to time t, in (time, seq) order."""
@@ -263,24 +260,25 @@ class SimState:
             raise ValueError(f"cannot advance backwards ({t} < {self.time})")
         processed: list[SimEvent] = []
         while self._heap and self._heap[0][0] <= t:
-            time, seq, kind, server, inst, token = heapq.heappop(self._heap)
-            if (inst or server).event_token != token:
+            time, seq, server, inst = heapq.heappop(self._heap)
+            if time != (inst or server).due:
                 continue  # superseded, cancelled or suspended
             self.time = time
             if inst is None:
-                self._process_server_event(kind, server)
+                kind = SERVER_FAIL if server.up else SERVER_REPAIR
+                self._process_server_event(server)
                 processed.append(SimEvent(time, seq, kind, server.dc_id,
                                           server.server_id))
             else:
-                self._process_vnf_event(kind, server, inst)
+                kind = VNF_FAIL if inst.up else VNF_REPAIR
+                self._process_vnf_event(server, inst)
                 processed.append(SimEvent(time, seq, kind, server.dc_id, server.server_id,
                                           inst.instance_id, inst.vnf_type))
         self.time = t
         return processed
 
-    def _process_server_event(self, kind: str, server: ServerState) -> None:
-        server.event_token += 1
-        if kind == SERVER_FAIL:
+    def _process_server_event(self, server: ServerState) -> None:
+        if server.up:
             server.up = False
             server.down_since = self.time
             # Freeze hosted instances: their state is kept and restored on
@@ -289,7 +287,7 @@ class SimState:
                 if inst.up:
                     self._up_counts[inst.vnf_type] -= 1
                 inst.suspended = max(0.0, inst.due - self.time)
-                inst.event_token += 1
+                inst.due = math.inf
         else:
             server.up = True
             downtime = self.time - server.down_since
@@ -300,13 +298,11 @@ class SimState:
                 inst.age_anchor += downtime
                 inst.due = self.time + inst.suspended
                 inst.suspended = None
-                inst.event_token += 1
-                self._push(inst.due, VNF_FAIL if inst.up else VNF_REPAIR, server, inst)
+                self._push(inst.due, server, inst)
         self._schedule(server)
 
-    def _process_vnf_event(self, kind: str, server: ServerState,
-                           inst: VnfInstance) -> None:
-        if kind == VNF_FAIL:
+    def _process_vnf_event(self, server: ServerState, inst: VnfInstance) -> None:
+        if inst.up:
             inst.up = False
             self._up_counts[inst.vnf_type] -= 1
         else:
@@ -378,7 +374,7 @@ class SimState:
             return _NO_INSTANCE
         target = max(candidates,
                      key=lambda v: (self._targeting_risk(v), -v.instance_id))
-        target.event_token += 1  # cancel any pending event
+        target.due = math.inf  # cancel any pending event
         server.vnfs.remove(target)
         self._alloc[server.dc_id, server.server_id, vnf_type] -= 1
         self._dc_alloc[server.dc_id] -= 1
@@ -392,7 +388,6 @@ class SimState:
             return _NO_INSTANCE
         target = max(candidates,
                      key=lambda v: (self._targeting_risk(v), -v.instance_id))
-        target.event_token += 1
         target.age_anchor = self.time
         self._schedule(server, target)
         return ActionOutcome(True, "restarted", target.instance_id)

@@ -1,7 +1,8 @@
 """Test-side helpers that the program itself never calls.
 
 ``instances`` walks a simulator's raw state, which tests compare the kept
-aggregates with; ``write_event_log`` exports the simulator's processed
+aggregates with; ``force_server_failure`` moves a server's pending event
+to a given time; ``write_event_log`` exports the simulator's processed
 events (the golden event-log digest pins its bytes); ``head_log_probs``
 gives each action head's log-probabilities, from which tests build
 ``old_logp`` batches and check the sampler's joint log-probability.
@@ -26,6 +27,12 @@ def instances(state):
         for server in row:
             for inst in server.vnfs:
                 yield server, inst
+
+
+def force_server_failure(state, server, t: float) -> None:
+    """Make ``server``'s pending event, a failure while it is up, fall at t."""
+    server.due = t
+    state._push(t, server)
 
 
 def write_event_log(events: list[SimEvent], path,

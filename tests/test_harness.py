@@ -366,6 +366,32 @@ def test_cli_empty_train_split_exit_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+GOOD_CSV = "step_index,cell_1,cell_2\n0,1.0,2.0\n1,3.0,4.0\n2,5.0,6.0\n3,7.0,8.0\n"
+
+
+@pytest.mark.parametrize("source, text, message", [
+    ("csv", GOOD_CSV.replace("4.0", "-4.0"), "activity values must be finite and nonnegative"),
+    ("csv", GOOD_CSV.replace("4.0", "nan"), "activity values must be finite and nonnegative"),
+    ("csv", GOOD_CSV.replace("4.0", "inf"), "activity values must be finite and nonnegative"),
+    ("csv", GOOD_CSV.replace("cell_2", "tower_2"), "unexpected trace header in"),
+    ("csv", None, "No such file or directory"),
+    # 2 of 10 rows have the wrong column count: above the 10% the loader allows
+    ("cdr", "1\t0\t39\t\t\t\t\t1.5\n" * 8 + "1\t0\t39\n" * 2, "2/10 malformed rows in"),
+], ids=["negative", "nan", "inf", "header", "missing", "cdr_malformed"])
+def test_cli_bad_trace_file_exit_one(tmp_path, capsys, source, text, message):
+    path = tmp_path / "trace.txt"
+    if text is not None:
+        path.write_text(text)
+    cfg_path = tmp_path / "exp.yaml"
+    save_config(tiny_config(trace={"source": source, "path": str(path)}), cfg_path)
+    code = cli_main(["eval", "--quick", "--policy", "noop", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"config error: trace.path {path}: " in err and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("seed", ["abc", True, 1.5, None, -1])
 def test_cli_bad_master_seed_exit_one(tmp_path, capsys, seed):
     cfg_path = tmp_path / "exp.yaml"

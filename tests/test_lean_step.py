@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (encode_observation_oracle, greedy_act_oracle, head_log_probs,
-                     instances, random_act_oracle, sample_oracle)
+from helpers import (encode_observation_oracle, force_server_failure, greedy_act_oracle,
+                     head_log_probs, instances, random_act_oracle, sample_oracle)
 from sfcsim.env import ActionTuple, EnvConfig, SfcEnv, StepRecord
-from sfcsim.policies import RandomPolicy, StaticGreedyPolicy, make_baseline
+from sfcsim.policies import RandomPolicy, StaticGreedyPolicy
 from sfcsim.policy import PolicyNetwork
 from sfcsim.seeding import entity_rng
 from sfcsim.simcore import (ActionOutcome, EnergyModel, FailureModel, N_VNF_TYPES,
@@ -159,7 +159,7 @@ def test_sample_matches_per_head_oracle(batch, obs_dim, head_sizes, weight_scale
     assert_same(net.sample(obs, FixedDraws(u)), sample_oracle(net, obs, FixedDraws(u)))
 
 
-HEAD_SIZE = st.sampled_from((1, 2, 3, 4, 5, 7, 10, 2**31 + 1, 2**32))
+HEAD_SIZE = st.sampled_from((1, 2, 3, 4, 5, 7, 10, 2**31 + 1, 2**32, 2**32 + 1, 2**40 + 7))
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,7 +168,8 @@ HEAD_SIZE = st.sampled_from((1, 2, 3, 4, 5, 7, 10, 2**31 + 1, 2**32))
        n_after=st.integers(0, 300))
 def test_random_policy_matches_scalar_draws(seed, head_sizes, n_acts, reset_seed, n_after):
     # runs longer than a block cross its boundary; sizes 3, 5, 7, 10 and
-    # 2**31 + 1 reject some words, 2**31 + 1 about half of them
+    # 2**31 + 1 reject some words, 2**31 + 1 about half of them; sizes above
+    # 2**32 draw from whole 64-bit outputs
     policy = RandomPolicy(head_sizes, seed)
     rng = entity_rng(seed, 30)
     for _ in range(n_acts):
@@ -205,12 +206,6 @@ def test_random_policy_draws_past_rejected_words(head_sizes, first_acts):
     acts = [policy.act(None, None) for _ in range(600)]
     assert acts[:3] == first_acts
     assert acts == [random_act_oracle(rng, head_sizes) for _ in range(600)]
-
-
-def test_random_policy_rejects_head_sizes_above_two_to_the_32():
-    assert make_baseline("random", SimpleNamespace(head_sizes=(4, 2**32, 1, 4)))
-    with pytest.raises(ValueError, match="head sizes"):
-        make_baseline("random", SimpleNamespace(head_sizes=(4, 2**32 + 1, 1, 4)))
 
 
 GREEDY_TOPOLOGY = Topology(n_dcs=4, servers_per_dc=2, max_vnfs_per_server=3,
@@ -268,7 +263,7 @@ def test_greedy_scan_matches_instances_walk(seed, operations, threshold, mttf_vn
         elif op[0] == "fail_server":
             server = state.servers[op[1]][op[2]]
             if server.up:
-                state._push(state.time, SERVER_FAIL, server)
+                force_server_failure(state, server, state.time)
                 state.advance_to(state.time)
         elif op[0] == "age_at_floor" and placed:
             age = nudge(floor if floor > 0 else mttf_vnf, op[2])
@@ -356,7 +351,7 @@ def test_rejection_reasons_are_unchanged():
         assert outcome(3, 0, 1, 0) == (False, "no_instance", None)
     assert outcome(3, 0, 0, 1) == (True, "restarted", 1)
     assert outcome(2, 0, 0, 1) == (True, "deleted", 1)
-    state._push(state.time, SERVER_FAIL, state.servers[0][0])
+    force_server_failure(state, state.servers[0][0], state.time)
     state.advance_to(state.time)
     for action in ((1, 0, 0, 3), (2, 0, 0, 0), (3, 0, 0, 0)):
         assert outcome(*action) == (False, "server_down", None)

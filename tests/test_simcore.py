@@ -7,7 +7,7 @@ from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
                             SimState, Topology, VNF_FAIL, VNF_REPAIR, VNF_TYPES,
                             sample_exponential, vnf_fail_risk)
 
-from helpers import instances, write_event_log
+from helpers import force_server_failure, instances, write_event_log
 
 
 def small_state(seed=0, **failure_kwargs):
@@ -24,7 +24,8 @@ def type_count(server, vnf_type):
 def test_reference_init_schedules_one_failure_per_server():
     state = SimState(Topology(), FailureModel())
     assert len(state._heap) == 50
-    assert all(kind == SERVER_FAIL for _, _, kind, *_ in state._heap)
+    assert all(inst is None and time == server.due and server.up
+               for time, _, server, inst in state._heap)
     assert sum(1 for _ in instances(state)) == 0
 
 
@@ -153,7 +154,7 @@ def test_restart_reschedules_failure_and_resets_risk():
 def test_actions_on_down_server_rejected():
     state = small_state()
     server = state.servers[0][0]
-    state._push(0.0, SERVER_FAIL, server)
+    force_server_failure(state, server, 0.0)
     state.advance_to(0.0)
     assert not server.up
     for a in (1, 2, 3):
@@ -216,7 +217,7 @@ def test_server_repair_restores_hosted_vnfs():
         state.apply_action(1, 0, 0, t)
     server = state.servers[0][0]
     # force a failure now by scheduling it manually through the event queue
-    state._push(10.0, SERVER_FAIL, server)
+    force_server_failure(state, server, 10.0)
     events = state.advance_to(10.0)
     assert any(e.kind == SERVER_FAIL for e in events)
     assert not server.up
@@ -235,7 +236,7 @@ def test_server_down_from_time_zero_freezes_instance_age():
                      FailureModel(mttf_server=1e12, mttf_vnf=1e12), seed=0)
     state.apply_action(1, 0, 0, 0)
     inst = state.servers[0][0].vnfs[0]
-    state._push(0.0, SERVER_FAIL, state.servers[0][0])
+    force_server_failure(state, state.servers[0][0], 0.0)
     events = state.advance_to(50.0)
     assert (events[0].kind, events[0].time) == (SERVER_FAIL, 0.0)
     repaired_at = events[1].time
@@ -259,7 +260,7 @@ def test_sfc_incomplete_when_only_host_down():
         state.apply_action(1, 0, 0 if t < 3 else 1, t)
     assert state.sfc_complete()
     host = state.servers[0][1]  # the only HSS host
-    state._push(1.0, SERVER_FAIL, host)
+    force_server_failure(state, host, 1.0)
     state.advance_to(1.0)
     assert not host.up
     assert not state.sfc_complete()
@@ -368,27 +369,22 @@ def test_state_machine_soundness():
                         mttr_server=5.0)
     rng = np.random.default_rng(10)
     random_action_walk(state, rng, 400, dt=0.7)
-    live = {}
-    for time, seq, kind, server, inst, token in state._heap:
-        dc, sid = server.dc_id, server.server_id
-        if inst is None:
-            live.setdefault(("server", dc, sid), []).append(kind)
-        elif inst.event_token == token:
-            live.setdefault(("vnf", dc, sid, inst.instance_id), []).append(kind)
+    live = {}  # entity -> its live entries; one is live when its time is the due
+    for time, seq, server, inst in state._heap:
+        entity = inst or server
+        if time == entity.due:
+            live[id(entity)] = live.get(id(entity), 0) + 1
     for row in state.servers:
         for server in row:
-            kinds = live[("server", server.dc_id, server.server_id)]
-            assert kinds == ([SERVER_FAIL] if server.up else ["server_repair"])
+            assert live[id(server)] == 1 and server.due >= state.time
             for inst in server.vnfs:
-                key = ("vnf", server.dc_id, server.server_id, inst.instance_id)
                 if server.up:
                     assert inst.suspended is None
-                    kinds = live[key]
-                    assert kinds == ([VNF_FAIL] if inst.up else [VNF_REPAIR])
+                    assert live[id(inst)] == 1
                     assert inst.due >= state.time - 1e-12
                 else:
-                    assert inst.suspended is not None
-                    assert key not in live
+                    assert inst.suspended is not None and inst.due == math.inf
+                    assert id(inst) not in live
 
 
 def test_walk_is_deterministic():
@@ -398,6 +394,28 @@ def test_walk_is_deterministic():
         events = random_action_walk(state, np.random.default_rng(12), 300)
         logs.append([(e.time, e.kind, e.dc_id, e.server_id, e.instance_id)
                      for e in events])
+    assert logs[0] == logs[1]
+
+
+def test_duplicate_entry_at_due_leaves_the_event_log_unchanged(tmp_path):
+    # An entry is live exactly when its time is its entity's ``due``: a
+    # second entry at the same time fires nothing once the first has fired
+    # and rescheduled, so the exported log keeps its bytes.
+    logs = []
+    for duplicate in (False, True):
+        state = small_state(seed=11, mttf_vnf=1.5, mttr_vnf=0.4, mttf_server=20.0,
+                            mttr_server=2.0)
+        rng = np.random.default_rng(12)
+        events = random_action_walk(state, rng, 150)
+        if duplicate:
+            for server, inst in [(s, None) for row in state.servers for s in row] \
+                    + list(instances(state)):
+                if (inst or server).due < math.inf:  # suspended instances have none
+                    state._push((inst or server).due, server, inst)
+        events += random_action_walk(state, rng, 150)
+        path = tmp_path / f"events_{duplicate}.csv"
+        write_event_log(events, path)
+        logs.append(path.read_bytes())
     assert logs[0] == logs[1]
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sfcsim.simcore import (EnergyModel, FailureModel, N_VNF_TYPES, SERVER_FAIL,
                             SERVER_REPAIR, SimState, Topology)
 
-from helpers import instances
+from helpers import force_server_failure, instances
 
 TOPOLOGY = Topology(n_dcs=2, servers_per_dc=3, max_vnfs_per_server=4,
                     max_same_type_per_server=2)
@@ -66,7 +66,7 @@ def apply(state: SimState, op: tuple) -> list:
         _, dc, sid, delay = op
         server = state.servers[dc][sid]
         if server.up:  # a down server cannot fail again
-            state._push(state.time + delay, SERVER_FAIL, server)
+            force_server_failure(state, server, state.time + delay)
     return []
 
 
