@@ -408,10 +408,12 @@ def test_duplicate_entry_at_due_leaves_the_event_log_unchanged(tmp_path):
         rng = np.random.default_rng(12)
         events = random_action_walk(state, rng, 150)
         if duplicate:
-            for server, inst in [(s, None) for row in state.servers for s in row] \
-                    + list(instances(state)):
-                if (inst or server).due < math.inf:  # suspended instances have none
-                    state._push((inst or server).due, server, inst)
+            for row in state.servers:
+                for server in row:
+                    state._push(server.due, server)
+                    for inst in server.vnfs:
+                        if inst.due < math.inf:  # suspended instances have none
+                            state._push(inst.due, server, inst)
         events += random_action_walk(state, rng, 150)
         path = tmp_path / f"events_{duplicate}.csv"
         write_event_log(events, path)
