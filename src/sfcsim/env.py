@@ -150,19 +150,20 @@ class SfcEnv:
         self._energy_w, _ = self.sim.energy_consumption(self.energy)
         return self.encode_observation()
 
-    def step(self, action: ActionTuple) -> tuple[np.ndarray, float, bool, StepRecord]:
+    def step(self, action: ActionTuple) -> StepRecord:
         """Apply ``action`` (see ``ActionTuple``), simulate one window, and return
-        ``(obs, reward, done, record)``; ``record`` is appended to ``step_records``."""
+        its record, also appended to ``step_records``; ``done`` says whether the
+        episode ended and ``encode_observation`` gives the next observation."""
         accepted, sfc, packets, lost, energy_w, reward = self._transition(*action)
         record = StepRecord(
             self._row - 1 - self._start, action.a, action.dc, action.server,
             action.vnf_type, accepted, sfc, packets, lost, energy_w, reward,
             self._cum_reward, self._cum_lost)
         self.step_records.append(record)
-        return self.encode_observation(), reward, self.done, record
+        return record
 
     def step_into(self, components, out: np.ndarray) -> tuple[float, int, float, bool]:
-        """The training step: ``step`` without its record and its fresh vector.
+        """The training step: ``step`` without its record, plus the next observation.
 
         ``components`` are the sampled head indices as Python ints (head 0
         is 0-based, as in ``action_from_components``). ``encode_observation``

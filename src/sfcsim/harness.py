@@ -212,8 +212,12 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path, policy_spec: str,
     _, test_env = build_envs(cfg)
     policy = _resolve_policy(policy_spec, test_env, cfg.master_seed)
     n_runs = cfg.eval.quick_runs if quick else cfg.eval.n_runs
+    started = time.perf_counter()
     result = policies.evaluate_policy(policy, test_env, n_runs,
                                       master_seed=cfg.master_seed)
+    elapsed = time.perf_counter() - started
+    logger.info("evaluated %d runs x %d steps in %.3fs (%.0f steps/s)", n_runs,
+                result.n_steps, elapsed, n_runs * result.n_steps / elapsed)
 
     cum_reward = result.cumulative_reward()
     cum_lost = result.cumulative_lost()

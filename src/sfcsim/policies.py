@@ -2,8 +2,9 @@
 
 A policy exposes ``reset(seed)`` and ``act(obs, env) -> ActionTuple``, where
 ``obs`` is the float64 vector from ``SfcEnv.encode_observation``. The learned
-policy only looks at the observation; the rule-based baseline may inspect the
-simulator state directly.
+policy only looks at it. The baselines never do (the greedy one inspects the
+simulator state), so they set ``reads_obs = False`` and ``evaluate_policy``
+passes them ``obs=None``; a policy without the attribute gets the vector.
 """
 
 import math
@@ -19,6 +20,8 @@ from .simcore import N_VNF_TYPES, vnf_fail_risk
 
 class NoopPolicy:
     """Always leaves the environment unchanged."""
+
+    reads_obs = False
 
     def reset(self, seed: int) -> None:
         pass
@@ -38,6 +41,8 @@ class RandomPolicy:
     it draws one scalar bound, in C order, so acts are drawn a block at a
     time from one ``integers`` call and equal the scalar draws bit for bit.
     """
+
+    reads_obs = False
 
     def __init__(self, head_sizes: tuple[int, int, int, int], seed: int = 0):
         self.head_sizes = head_sizes
@@ -66,6 +71,8 @@ class StaticGreedyPolicy:
     with the highest fail-risk score once it exceeds the threshold; otherwise
     do nothing.
     """
+
+    reads_obs = False
 
     def __init__(self, risk_threshold: float = 0.5):
         self.risk_threshold = risk_threshold
@@ -194,7 +201,9 @@ def evaluate_policy(policy, env: SfcEnv, n_runs: int, seeds: list[int] | None = 
     """Run seeded episodes and collect per-step metrics.
 
     Each run gets its own derived seed; runs execute in order so results are
-    reproducible regardless of how many runs are requested.
+    reproducible regardless of how many runs are requested. A policy that
+    reads the observation gets it written into one vector kept for the call;
+    the per-step arrays are filled from each run's ``env.step_records``.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -203,24 +212,19 @@ def evaluate_policy(policy, env: SfcEnv, n_runs: int, seeds: list[int] | None = 
     if len(seeds) != n_runs:
         raise ValueError("need exactly one seed per run")
     T = env.episode_steps()
-    rewards = np.zeros((n_runs, T))
-    lost = np.zeros((n_runs, T))
-    sfc = np.zeros((n_runs, T))
-    energy = np.zeros((n_runs, T))
+    rewards, lost, sfc, energy = (np.zeros((n_runs, T)) for _ in range(4))
+    obs = np.empty(env.obs_dim) if getattr(policy, "reads_obs", True) else None
     first_records = []
     for r, seed in enumerate(seeds):
-        obs = env.reset(seed)
+        env.reset(seed)
         policy.reset(seed)
-        t = 0
-        done = False
-        while not done:
-            action = policy.act(obs, env)
-            obs, reward, done, record = env.step(action)
-            rewards[r, t] = reward
-            lost[r, t] = record.lost
-            sfc[r, t] = record.sfc
-            energy[r, t] = record.energy_w
-            t += 1
+        while not env.done:
+            if obs is not None:
+                env.encode_observation(obs)
+            env.step(policy.act(obs, env))
+        records = env.step_records
+        rewards[r], lost[r], sfc[r], energy[r] = zip(
+            *[(rec.reward, rec.lost, rec.sfc, rec.energy_w) for rec in records])
         if r == 0:
-            first_records = list(env.step_records)
+            first_records = list(records)
     return EvalResult(list(seeds), rewards, lost, sfc, energy, first_records)

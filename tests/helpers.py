@@ -6,18 +6,22 @@ to a given time; ``write_event_log`` exports the simulator's processed
 events (the golden event-log digest pins its bytes); ``head_log_probs``
 gives each action head's log-probabilities, from which tests build
 ``old_logp`` batches and check the sampler's joint log-probability.
-``encode_observation_oracle``, ``greedy_act_oracle``,
-``random_act_oracle`` and ``sample_oracle`` are the earlier forms of
-``SfcEnv.encode_observation``, ``StaticGreedyPolicy.act``,
-``RandomPolicy.act`` and ``PolicyNetwork.sample``, kept as the oracles
-that the current ones must match bit for bit.
+``step_obs`` is ``SfcEnv.step`` plus the next observation, the tuple that
+``step`` used to return. ``encode_observation_oracle``,
+``greedy_act_oracle``, ``random_act_oracle``, ``sample_oracle`` and
+``evaluate_oracle`` are the earlier forms of ``SfcEnv.encode_observation``,
+``StaticGreedyPolicy.act``, ``RandomPolicy.act``, ``PolicyNetwork.sample``
+and ``evaluate_policy``, kept as the oracles that the current ones must
+match bit for bit.
 """
 
 import numpy as np
 
 from sfcsim.artifacts import write_csv
 from sfcsim.env import ActionTuple
+from sfcsim.policies import EvalResult
 from sfcsim.policy import PolicyNetwork, _log_softmax_np
+from sfcsim.seeding import derive_seed
 from sfcsim.simcore import N_VNF_TYPES, VNF_TYPES, SimEvent, vnf_fail_risk
 
 
@@ -45,6 +49,13 @@ def write_event_log(events: list[SimEvent], path,
                 "" if ev.vnf_type is None else VNF_TYPES[ev.vnf_type]]
                for ev in events),
               comments)
+
+
+def step_obs(env, action):
+    """``(obs, reward, done, record)`` of one ``env.step``: the record, the
+    next observation in a new vector, and the record's reward and ``done``."""
+    record = env.step(action)
+    return env.encode_observation(), record.reward, env.done, record
 
 
 def head_log_probs(net: PolicyNetwork, obs: np.ndarray) -> list[np.ndarray]:
@@ -115,3 +126,30 @@ def random_act_oracle(rng, head_sizes) -> ActionTuple:
     """One ``RandomPolicy`` act as four scalar ``Generator.integers`` draws."""
     comps = [int(rng.integers(size)) for size in head_sizes]
     return ActionTuple(comps[0] + 1, comps[1], comps[2], comps[3])
+
+
+def evaluate_oracle(policy, env, n_runs: int, seeds: list[int] | None = None,
+                    master_seed: int = 0) -> EvalResult:
+    """``evaluate_policy`` as every policy read the observation: a new vector
+    from ``reset`` and after each step is passed to ``act``, and the four
+    per-step arrays are written one item at a time."""
+    if seeds is None:
+        seeds = [derive_seed(master_seed, "eval", i) for i in range(n_runs)]
+    T = env.episode_steps()
+    rewards, lost, sfc, energy = (np.zeros((n_runs, T)) for _ in range(4))
+    first_records = []
+    for r, seed in enumerate(seeds):
+        obs = env.reset(seed)
+        policy.reset(seed)
+        t = 0
+        done = False
+        while not done:
+            obs, reward, done, record = step_obs(env, policy.act(obs, env))
+            rewards[r, t] = reward
+            lost[r, t] = record.lost
+            sfc[r, t] = record.sfc
+            energy[r, t] = record.energy_w
+            t += 1
+        if r == 0:
+            first_records = list(env.step_records)
+    return EvalResult(list(seeds), rewards, lost, sfc, energy, first_records)

@@ -18,7 +18,7 @@ from sfcsim.simcore import (EnergyModel, FailureModel, SimState, Topology,
                             VNF_REPAIR)
 from sfcsim.trace import SteppedTrace
 
-from helpers import head_log_probs, instances
+from helpers import head_log_probs, instances, step_obs
 from test_clustering import adjusted_rand_index, blob_profiles
 from toy_env import CorridorEnv, greedy_return
 
@@ -51,7 +51,7 @@ def test_criterion_1_reward_oracle_equivalence():
             a = ActionTuple(int(rng.integers(1, 5)), int(rng.integers(10)),
                             int(rng.integers(5)), int(rng.integers(4)))
             before = {id(i): True for _, i in instances(env.sim)}
-            _, reward, done, b = env.step(a)
+            _, reward, done, b = step_obs(env, a)
             # independent recomputation of the reward from raw state
             sfc = 1
             for vnf_type in range(4):

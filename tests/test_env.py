@@ -5,7 +5,7 @@ from sfcsim.env import ActionTuple, EnvConfig, SfcEnv, write_step_records
 from sfcsim.simcore import EnergyModel, FailureModel, SimState, Topology
 from sfcsim.trace import SteppedTrace, generate_synthetic_trace
 
-from helpers import instances
+from helpers import instances, step_obs
 
 NOOP = ActionTuple(4, 0, 0, 0)
 
@@ -25,7 +25,7 @@ def make_env(trace=None, topo=None, config=None, **failure_kwargs) -> SfcEnv:
 
 def complete_sfc(env):
     for t in range(4):
-        obs, r, d, rec = env.step(ActionTuple(1, t, 0, t))
+        obs, r, d, rec = step_obs(env, ActionTuple(1, t, 0, t))
     return obs, r, d, rec
 
 
@@ -56,7 +56,7 @@ def test_same_seed_same_trajectory():
         run = []
         for i in range(30):
             a = ActionTuple(1, i % 10, i % 5, i % 4) if i < 8 else NOOP
-            _, r, _, _ = env.step(a)
+            _, r, _, _ = step_obs(env, a)
             run.append(r)
         rewards.append(run)
     assert rewards[0] == rewards[1]
@@ -67,7 +67,7 @@ def test_same_seed_same_trajectory():
 def test_first_step_loses_all_packets():
     env = make_env()
     env.reset(seed=0)
-    _, reward, _, rec = env.step(NOOP)
+    _, reward, _, rec = step_obs(env, NOOP)
     assert reward == pytest.approx(-400.0)
     assert rec.sfc == 0
     assert rec.lost == pytest.approx(400.0)
@@ -78,7 +78,7 @@ def test_complete_sfc_reward_reference_value():
     env = make_env()
     env.reset(seed=0)
     complete_sfc(env)
-    _, reward, _, rec = env.step(NOOP)
+    _, reward, _, rec = step_obs(env, NOOP)
     assert reward == pytest.approx(100.0 - 0.01 * 282.88)
     assert reward == pytest.approx(97.1712)
     assert rec.sfc == 1 and rec.lost == 0.0
@@ -88,7 +88,7 @@ def test_accepted_restart_costs_one():
     env = make_env()
     env.reset(seed=0)
     complete_sfc(env)
-    _, reward, _, rec = env.step(ActionTuple(3, 0, 0, 0))
+    _, reward, _, rec = step_obs(env, ActionTuple(3, 0, 0, 0))
     assert reward == pytest.approx(97.1712 - 1.0)
     assert rec.a == 3 and rec.accepted
 
@@ -98,7 +98,7 @@ def test_rejected_restart_is_free():
     env.reset(seed=0)
     complete_sfc(env)
     # no type-2 instance on server (5,0): restart rejected, no penalty
-    _, reward, _, rec = env.step(ActionTuple(3, 5, 0, 2))
+    _, reward, _, rec = step_obs(env, ActionTuple(3, 5, 0, 2))
     assert rec.a == 3 and not rec.accepted
     assert reward == pytest.approx(97.1712)
 
@@ -113,7 +113,7 @@ def test_reward_decomposition_identity_random_steps():
     for _ in range(250):
         a = ActionTuple(int(rng.integers(1, 5)), int(rng.integers(10)),
                         int(rng.integers(5)), int(rng.integers(4)))
-        _, reward, done, rec = env.step(a)
+        _, reward, done, rec = step_obs(env, a)
         assert rec is env.step_records[-1]
         assert (rec.a, rec.dc, rec.server, rec.vnf_type) == a
         assert rec.reward == reward
@@ -142,7 +142,7 @@ def test_binary_reward_structure_without_energy():
     for _ in range(150):
         a = ActionTuple(int(rng.integers(1, 5)), int(rng.integers(10)),
                         int(rng.integers(5)), int(rng.integers(4)))
-        _, reward, done, rec = env.step(a)
+        _, reward, done, rec = step_obs(env, a)
         assert reward in (pytest.approx(-rec.packets), pytest.approx(100.0))
         if done:
             break
@@ -153,7 +153,7 @@ def test_deleting_last_instance_of_a_type_breaks_sfc():
     env.reset(seed=0)
     _, _, _, rec = complete_sfc(env)
     assert rec.sfc == 1
-    _, _, _, rec = env.step(ActionTuple(2, 2, 0, 2))  # delete the only MME
+    rec = env.step(ActionTuple(2, 2, 0, 2))  # delete the only MME
     assert rec.sfc == 0
     assert rec.lost == pytest.approx(400.0)
 
@@ -204,7 +204,7 @@ def test_normalized_observation_in_unit_range():
     obs = env.reset(seed=0)
     for i in range(10):
         assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
-        obs, _, done, _ = env.step(ActionTuple(1, i % 10, i % 5, i % 4))
+        obs, _, done, _ = step_obs(env, ActionTuple(1, i % 10, i % 5, i % 4))
         if done:
             break
 
@@ -219,7 +219,7 @@ def test_zero_activity_step_gives_zero_activity_block():
 def test_single_sgw_sets_one_count_slot():
     env = make_env()
     env.reset(seed=0)
-    obs, _, _, _ = env.step(ActionTuple(1, 0, 0, 0))
+    obs, _, _, _ = step_obs(env, ActionTuple(1, 0, 0, 0))
     counts = obs[env.n_cells:]
     assert counts[0] == 1  # (dc0, server0, SGW) is the first slot
     assert counts.sum() == 1
@@ -231,7 +231,7 @@ def test_episode_ends_with_trace():
     env = make_env(trace=flat_trace(n_steps=3))
     env.reset(seed=0)
     for _ in range(3):
-        _, _, done, _ = env.step(NOOP)
+        _, _, done, _ = step_obs(env, NOOP)
     assert done
     with pytest.raises(RuntimeError):
         env.step(NOOP)
@@ -244,7 +244,7 @@ def test_episode_length_limits_steps():
     done = False
     steps = 0
     while not done:
-        _, _, done, _ = env.step(NOOP)
+        _, _, done, _ = step_obs(env, NOOP)
         steps += 1
     assert steps == 5
 
@@ -286,7 +286,7 @@ def test_step_trace_export_schema(tmp_path):
     env.reset(seed=0)
     done = False
     while not done:
-        _, _, done, _ = env.step(ActionTuple(1, 0, 0, 0))
+        _, _, done, _ = step_obs(env, ActionTuple(1, 0, 0, 0))
     path = tmp_path / "steps.csv"
     write_step_records(env.step_records, path, comments=["config_hash=x seed=0"])
     lines = path.read_text().splitlines()

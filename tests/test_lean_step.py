@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (encode_observation_oracle, force_server_failure, greedy_act_oracle,
-                     head_log_probs, instances, random_act_oracle, sample_oracle)
+                     head_log_probs, instances, random_act_oracle, sample_oracle, step_obs)
 from sfcsim.env import ActionTuple, EnvConfig, SfcEnv, StepRecord
 from sfcsim.policies import RandomPolicy, StaticGreedyPolicy
 from sfcsim.policy import PolicyNetwork
@@ -67,7 +67,7 @@ def test_observation_matches_two_divide_encoding_bit_for_bit(case):
             assert obs.tobytes() == encode_observation_oracle(env).tobytes()
             assert not obs[env.n_cells:].any()
             obs[:] = np.nan
-        obs, _, _, _ = env.step(ActionTuple(*action))
+        obs, _, _, _ = step_obs(env, ActionTuple(*action))
         expected = encode_observation_oracle(env)
         assert obs.dtype == expected.dtype and obs.tobytes() == expected.tobytes()
 
@@ -79,7 +79,7 @@ def test_reset_clears_the_kept_allocation_block():
                  EnvConfig(normalize_obs=True, activity_scale=20.0))
     env.reset(0)
     for vnf_type in range(3):
-        obs, _, _, record = env.step(ActionTuple(1, 1, 0, vnf_type))
+        obs, _, _, record = step_obs(env, ActionTuple(1, 1, 0, vnf_type))
         assert record.accepted
     assert env.done and obs[2:].sum() > 0
     obs = env.reset(0)
@@ -107,7 +107,7 @@ def test_step_into_matches_step(case, reliable):
             env.reset(seed + episode)
             row[:] = twin.reset(seed + episode)
         row[:] = np.nan  # step_into writes every entry
-        obs, reward, done, record = env.step(ActionTuple(a, dc, server, vnf_type))
+        obs, reward, done, record = step_obs(env, ActionTuple(a, dc, server, vnf_type))
         result = twin.step_into([a - 1, dc, server, vnf_type], row)
         # repr tells np.float64(1.0) from 1.0 and -0.0 from 0.0
         assert repr(result) == repr((reward, record.sfc, record.packets, done))

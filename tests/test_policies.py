@@ -9,6 +9,8 @@ from sfcsim.policy import PolicyNetwork
 from sfcsim.simcore import EnergyModel, FailureModel, Topology
 from sfcsim.trace import SteppedTrace
 
+from helpers import step_obs
+
 
 def flat_trace(n_steps=30, n_cells=3, per_step=300.0):
     return SteppedTrace(list(range(1, n_cells + 1)),
@@ -51,7 +53,7 @@ def test_static_greedy_creates_each_type_first():
         action = policy.act(obs, env)
         assert action.a == 1
         created.append(action.vnf_type)
-        obs, _, _, _ = env.step(action)
+        obs, _, _, _ = step_obs(env, action)
     assert created == [0, 1, 2, 3]  # SGW, PGW, MME, HSS in rule order
     # chain complete: next move is no-op (risk still ~0)
     assert policy.act(obs, env).a == 4
@@ -62,7 +64,7 @@ def test_static_greedy_restarts_aged_instances():
     policy = StaticGreedyPolicy(risk_threshold=0.5)
     obs = env.reset(seed=3)
     for _ in range(4):
-        obs, _, _, _ = env.step(policy.act(obs, env))
+        obs, _, _, _ = step_obs(env, policy.act(obs, env))
     # push one age past the risk threshold: risk 0.5 needs age > mttf*ln 2
     target = env.sim.servers[1][0].vnfs[0]
     target.age_anchor -= env.sim.failure.mttf_vnf * 0.8

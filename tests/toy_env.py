@@ -6,16 +6,17 @@ for reaching the last cell; the episode ends at the goal or after
 the remaining heads have size 1 so the same learner code runs unchanged.
 
 It keeps ``SfcEnv``'s step contracts: ``reset`` starts a new
-``step_records`` list and ``step`` returns ``(obs, reward, done, record)``
-with the ``StepRecord`` it appended there; ``step_into`` writes the next
-observation into a given row and returns ``(reward, sfc, packets, done)``,
-and ``episode_totals`` has the episode's running totals. A record's ``a``
+``step_records`` list and ``step`` returns the ``StepRecord`` it appended
+there, ``encode_observation`` gives the current observation; ``step_into``
+writes the next observation into a given row and returns ``(reward, sfc,
+packets, done)``, and ``episode_totals`` has the episode's running totals. A record's ``a``
 is the move (0 or 1); the corridor has no service chain, so its SFC,
 packet and energy fields are zero.
 """
 
 import numpy as np
 
+from helpers import step_obs
 from sfcsim.env import StepRecord
 
 
@@ -34,7 +35,7 @@ class CorridorEnv:
     def action_from_components(self, components):
         return int(components[0])
 
-    def _obs(self) -> np.ndarray:
+    def encode_observation(self) -> np.ndarray:
         vec = np.zeros(self.length)
         vec[self.pos] = 1.0
         return vec
@@ -45,7 +46,7 @@ class CorridorEnv:
         self.step_records = []
         self._steps = 0
         self._cum_reward = 0.0
-        return self._obs()
+        return self.encode_observation()
 
     def _move(self, action: int) -> float:
         if self.done:
@@ -62,7 +63,7 @@ class CorridorEnv:
         record = StepRecord(self._steps - 1, action, 0, 0, 0, True, 0, 0.0, 0.0, 0.0,
                             reward, self._cum_reward, 0.0)
         self.step_records.append(record)
-        return self._obs(), reward, self.done, record
+        return record
 
     def step_into(self, components, out: np.ndarray):
         reward = self._move(components[0])
@@ -83,6 +84,6 @@ def greedy_return(policy_net, n_episodes: int = 20, **env_kwargs) -> float:
         done = False
         while not done:
             comps = policy_net.mode(obs[None, :])[0]
-            obs, reward, done, _ = env.step(env.action_from_components(comps))
+            obs, reward, done, _ = step_obs(env, env.action_from_components(comps))
             total += reward
     return total / n_episodes
