@@ -6,8 +6,8 @@ to a given time; ``write_event_log`` exports the simulator's processed
 events (the golden event-log digest pins its bytes); ``head_log_probs``
 gives each action head's log-probabilities, from which tests build
 ``old_logp`` batches and check the sampler's joint log-probability.
-``step_obs`` is ``SfcEnv.step`` plus the next observation, the tuple that
-``step`` used to return. ``encode_observation_oracle``,
+``step_obs`` returns one ``SfcEnv.step``'s record together with the next
+observation, the reward and ``done``. ``encode_observation_oracle``,
 ``greedy_act_oracle``, ``random_act_oracle``, ``sample_oracle`` and
 ``evaluate_oracle`` are the earlier forms of ``SfcEnv.encode_observation``,
 ``StaticGreedyPolicy.act``, ``RandomPolicy.act``, ``PolicyNetwork.sample``

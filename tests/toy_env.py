@@ -6,12 +6,12 @@ for reaching the last cell; the episode ends at the goal or after
 the remaining heads have size 1 so the same learner code runs unchanged.
 
 It keeps ``SfcEnv``'s step contracts: ``reset`` starts a new
-``step_records`` list and ``step`` returns the ``StepRecord`` it appended
-there, ``encode_observation`` gives the current observation; ``step_into``
+``step_records`` list, ``step`` returns the ``StepRecord`` it appended there
+and ``encode_observation`` gives the current observation; ``step_into``
 writes the next observation into a given row and returns ``(reward, sfc,
-packets, done)``, and ``episode_totals`` has the episode's running totals. A record's ``a``
-is the move (0 or 1); the corridor has no service chain, so its SFC,
-packet and energy fields are zero.
+packets, done)``, and ``episode_totals`` has the episode's running totals.
+A record's ``a`` is the move (0 or 1); the corridor has no service chain,
+so its SFC, packet and energy fields are zero.
 """
 
 import numpy as np
