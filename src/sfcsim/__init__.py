@@ -1,7 +1,7 @@
 """sfcsim: discrete-event NFV data-center simulation with an RL control loop.
 
 Modules:
-    trace       CDR ingestion, 5-minute aggregation, synthetic generation
+    trace       one-pass CDR loading into steps, synthetic generation, CSV
     clustering  day-period profiles, K-means, elbow scan
     simcore     servers/VNFs with exponential failure-repair event simulation
     env         gym-style environment (observations, actions, reward)

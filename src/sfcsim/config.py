@@ -112,11 +112,20 @@ _SECTIONS = {
 }
 
 
+# YAML gives 1.5 or true where an int is meant; a dataclass would take either.
+_INT_FIELD_TYPES = {int: int, int | None: (int, type(None))}
+
+
 def _build_section(cls, data: dict, section: str):
     known = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+    for name, value in data.items():
+        allowed = _INT_FIELD_TYPES.get(known[name].type)
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise ConfigError(f"invalid [{section}] section: {name} must be an int, "
+                              f"got {value!r}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -147,7 +156,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -54,19 +54,9 @@ def build_trace(cfg: ExperimentConfig) -> trace_mod.SteppedTrace:
     try:
         if tc.source == "csv":
             return trace_mod.read_trace_csv(tc.path)
-        result = trace_mod.load_cdr_file(tc.path, cell_filter)
+        return trace_mod.load_cdr_trace(tc.path, tc.step_duration, cell_filter)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"trace.path {tc.path}: {exc}") from exc
-    if not result.records:
-        raise ConfigError(f"no usable records in {tc.path}")
-    cells = sorted({r.cell_id for r in result.records})
-    step_ms = tc.step_duration * 1000
-    t_min = min(r.timestamp_ms for r in result.records)
-    t_max = max(r.timestamp_ms for r in result.records)
-    start = (t_min // step_ms) * step_ms
-    end = ((t_max // step_ms) + 1) * step_ms
-    return trace_mod.aggregate_steps(result.records, cells,
-                                     tc.step_duration, (start, end))
 
 
 def select_managed_cells(cfg: ExperimentConfig,

@@ -1,12 +1,14 @@
-"""Telecom activity traces: CDR ingestion, 5-minute step aggregation, splits.
+"""Telecom activity traces: CDR ingestion, synthetic generation, CSV export, splits.
 
 The simulation consumes per-cell internet-activity volumes aggregated into
-fixed-duration steps (default 300 s). Traces come either from a CDR-style
-tab-separated file or from the synthetic diurnal generator.
+fixed-duration steps (default 300 s). Traces come from a CDR-style
+tab-separated file, which ``load_cdr_trace`` reads into a ``SteppedTrace``
+in one pass, from the synthetic diurnal generator, or from a trace CSV.
 """
 
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,15 +30,6 @@ _CDR_INTERNET_COL = 7
 
 class TraceFormatError(ValueError):
     """Raised when an input file does not follow the expected layout."""
-
-
-@dataclass(frozen=True)
-class ActivityRecord:
-    """One internet-activity measurement for a cell and time interval."""
-
-    cell_id: int
-    timestamp_ms: int
-    internet_activity: float
 
 
 @dataclass
@@ -101,15 +94,6 @@ class TraceSplit:
 
 
 @dataclass
-class CdrLoadResult:
-    """Records parsed from a CDR file plus load statistics."""
-
-    records: list[ActivityRecord]
-    malformed_rows: int = 0
-    total_rows: int = 0
-
-
-@dataclass
 class DiurnalProfile:
     """Shape parameters for the synthetic trace generator.
 
@@ -126,16 +110,24 @@ class DiurnalProfile:
     first_cell_id: int = 1
 
 
-def load_cdr_file(path, cell_filter: set[int] | None = None) -> CdrLoadResult:
-    """Parse internet-activity records from a tab-separated CDR file.
+def load_cdr_trace(path, step_duration: int,
+                   cell_filter: set[int] | None = None) -> SteppedTrace:
+    """Load the internet activity of a tab-separated CDR file as a stepped trace.
 
     Rows with an empty internet column carry no internet measurement and are
     ignored. Malformed rows (wrong column count, unparseable fields, an
     activity that is negative or not finite) are counted and skipped; more
     than 10% malformed rows aborts with TraceFormatError, since that signals
-    the wrong file format.
+    the wrong file format. Rows of cells outside ``cell_filter`` are dropped.
+
+    A row lands in the step of ``step_duration`` seconds whose window
+    contains its timestamp; each (step, cell) sums its rows in file order
+    from 0.0. The trace's cells are the sorted ids of the kept rows, and its
+    steps run from the first occupied step to the last, with explicit zeros
+    between.
     """
-    records: list[ActivityRecord] = []
+    step_ms = step_duration * 1000
+    sums = defaultdict(float)  # (timestamp // step_ms, cell) -> activity from 0.0
     malformed = 0
     total = 0
     with open(path, encoding="utf-8") as fh:
@@ -156,55 +148,28 @@ def load_cdr_file(path, cell_filter: set[int] | None = None) -> CdrLoadResult:
             except ValueError:
                 malformed += 1
                 continue
-            if activity is None or not 0 <= activity < math.inf:  # nan fails both
-                if activity is not None:
-                    malformed += 1
+            if activity is None:
+                continue
+            if not 0 <= activity < math.inf:  # nan fails both
+                malformed += 1
                 continue
             if cell_filter is not None and cell_id not in cell_filter:
                 continue
-            records.append(ActivityRecord(cell_id, timestamp, activity))
+            sums[timestamp // step_ms, cell_id] += activity
     if total > 0 and malformed / total > 0.10:
         raise TraceFormatError(
             f"{malformed}/{total} malformed rows in {path}; not a CDR file?")
     if malformed:
         logger.warning("skipped %d malformed rows out of %d in %s", malformed, total, path)
-    return CdrLoadResult(records, malformed, total)
-
-
-def aggregate_steps(records: list[ActivityRecord], cell_ids: list[int],
-                    step_duration: int, horizon: tuple[int, int]) -> SteppedTrace:
-    """Sum record activities into fixed steps per cell over the horizon.
-
-    ``horizon`` is (start_ms, end_ms); its length must be a whole number of
-    steps. A record lands in the step whose window [start, start+duration)
-    contains its timestamp. Records outside the horizon or for untracked
-    cells are skipped (counted in the log).
-    """
-    if not cell_ids:
-        raise ValueError("cell_ids must be non-empty")
-    start_ms, end_ms = horizon
-    span_ms = end_ms - start_ms
-    step_ms = step_duration * 1000
-    if span_ms <= 0 or span_ms % step_ms != 0:
-        raise ValueError("horizon length must be a positive multiple of step_duration")
-    n_steps = span_ms // step_ms
-    col = {c: i for i, c in enumerate(cell_ids)}
-    steps = np.zeros((n_steps, len(cell_ids)))
-    out_of_horizon = 0
-    untracked = 0
-    for rec in records:
-        if not start_ms <= rec.timestamp_ms < end_ms:
-            out_of_horizon += 1
-            continue
-        j = col.get(rec.cell_id)
-        if j is None:
-            untracked += 1
-            continue
-        steps[(rec.timestamp_ms - start_ms) // step_ms, j] += rec.internet_activity
-    if out_of_horizon or untracked:
-        logger.info("aggregate_steps skipped %d out-of-horizon and %d untracked records",
-                    out_of_horizon, untracked)
-    return SteppedTrace(list(cell_ids), steps, step_duration, start_ms)
+    if not sums:
+        raise TraceFormatError(f"no usable records in {path}")
+    cells = sorted({cell for _, cell in sums})
+    col = {c: j for j, c in enumerate(cells)}
+    first = min(step for step, _ in sums)
+    steps = np.zeros((max(step for step, _ in sums) - first + 1, len(cells)))
+    for (step, cell), activity in sums.items():
+        steps[step - first, col[cell]] = activity
+    return SteppedTrace(cells, steps, step_duration, first * step_ms)
 
 
 def split_train_test(trace: SteppedTrace, fraction: float) -> TraceSplit:
@@ -278,14 +243,17 @@ def read_trace_csv(path) -> SteppedTrace:
                     elif token.startswith("step_duration_s="):
                         duration = int(token.split("=", 1)[1])
                 continue
-            fields = line.split(",")
             if header is None:
-                header = fields
+                header = line.split(",")
                 continue
-            rows.append([float(v) for v in fields[1:]])
+            rows.append(line)
     if header is None:
         raise TraceFormatError(f"no header row in {path}")
     if header[0] != "step_index" or not all(h.startswith("cell_") for h in header[1:]):
         raise TraceFormatError(f"unexpected trace header in {path}")
+    if not rows:
+        raise TraceFormatError(f"no data rows in {path}")
     cells = [int(h[len("cell_"):]) for h in header[1:]]
-    return SteppedTrace(cells, np.array(rows, dtype=float), duration, origin)
+    # comments=None: a '#' inside a data row is an error, not a comment
+    values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    return SteppedTrace(cells, values[:, 1:], duration, origin)

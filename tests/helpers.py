@@ -8,12 +8,15 @@ gives each action head's log-probabilities, from which tests build
 ``old_logp`` batches and check the sampler's joint log-probability.
 ``step_obs`` returns one ``SfcEnv.step``'s record together with the next
 observation, the reward and ``done``. ``encode_observation_oracle``,
-``greedy_act_oracle``, ``random_act_oracle``, ``sample_oracle`` and
-``evaluate_oracle`` are the earlier forms of ``SfcEnv.encode_observation``,
-``StaticGreedyPolicy.act``, ``RandomPolicy.act``, ``PolicyNetwork.sample``
-and ``evaluate_policy``, kept as the oracles that the current ones must
+``greedy_act_oracle``, ``random_act_oracle``, ``sample_oracle``,
+``evaluate_oracle`` and ``cdr_trace_oracle`` are the earlier forms of
+``SfcEnv.encode_observation``, ``StaticGreedyPolicy.act``,
+``RandomPolicy.act``, ``PolicyNetwork.sample``, ``evaluate_policy`` and
+``trace.load_cdr_trace``, kept as the oracles that the current ones must
 match bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from sfcsim.policies import EvalResult
 from sfcsim.policy import PolicyNetwork, _log_softmax_np
 from sfcsim.seeding import derive_seed
 from sfcsim.simcore import N_VNF_TYPES, VNF_TYPES, SimEvent, vnf_fail_risk
+from sfcsim.trace import CDR_COLUMNS, SteppedTrace, TraceFormatError
 
 
 def instances(state):
@@ -153,3 +157,56 @@ def evaluate_oracle(policy, env, n_runs: int, seeds: list[int] | None = None,
         if r == 0:
             first_records = list(env.step_records)
     return EvalResult(list(seeds), rewards, lost, sfc, energy, first_records)
+
+
+def cdr_trace_oracle(path, step_duration: int,
+                     cell_filter: set[int] | None = None) -> SteppedTrace:
+    """``load_cdr_trace`` in three stages: parse every row into a
+    ``(cell, timestamp, activity)`` record, derive the cells and the step
+    horizon from the records, then sum the records into a zero matrix.
+
+    A file with no usable row raises ``TraceFormatError`` here, as the
+    loader does (the three-stage harness raised its own ``ConfigError``).
+    """
+    records = []
+    malformed = 0
+    total = 0
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            total += 1
+            fields = line.split("\t")
+            if len(fields) != CDR_COLUMNS:
+                malformed += 1
+                continue
+            internet = fields[7].strip()
+            try:
+                cell_id = int(fields[0])
+                timestamp = int(fields[1])
+                activity = float(internet) if internet else None
+            except ValueError:
+                malformed += 1
+                continue
+            if activity is None or not 0 <= activity < math.inf:
+                if activity is not None:
+                    malformed += 1
+                continue
+            if cell_filter is not None and cell_id not in cell_filter:
+                continue
+            records.append((cell_id, timestamp, activity))
+    if total > 0 and malformed / total > 0.10:
+        raise TraceFormatError(
+            f"{malformed}/{total} malformed rows in {path}; not a CDR file?")
+    if not records:
+        raise TraceFormatError(f"no usable records in {path}")
+    cells = sorted({cell for cell, _, _ in records})
+    step_ms = step_duration * 1000
+    start = (min(t for _, t, _ in records) // step_ms) * step_ms
+    end = (max(t for _, t, _ in records) // step_ms + 1) * step_ms
+    col = {c: i for i, c in enumerate(cells)}
+    steps = np.zeros(((end - start) // step_ms, len(cells)))
+    for cell, timestamp, activity in records:
+        steps[(timestamp - start) // step_ms, col[cell]] += activity
+    return SteppedTrace(cells, steps, step_duration, start)

@@ -300,6 +300,9 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"eval": {"quick_runs": 0}}, id="eval_quick_runs_0"),
     pytest.param({"cells": [1, 1, 2]}, id="cells_repeated"),
     pytest.param({"cells": []}, id="cells_empty"),
+    pytest.param({"trace": {"n_cells": 1.5}}, id="trace_n_cells_float"),
+    pytest.param({"ppo": {"total_steps": 4096.0}}, id="total_steps_float"),
+    pytest.param({"topology": {"n_dcs": True}}, id="n_dcs_bool"),
     *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
       for section, key, value in REMOVED_KEYS],
 ])
@@ -312,6 +315,17 @@ def test_cli_bad_config_exit_one(tmp_path, capsys, data):
     for section, key, _ in REMOVED_KEYS:
         if key in data.get(section, {}):
             assert f"unknown keys in [{section}]: ['{key}']" in err
+
+
+def test_cli_malformed_yaml_exit_one(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text("trace: [unclosed\n")
+    code = cli_main(["eval", "--policy", "noop", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"config error: {cfg_path}: while parsing a flow sequence" in err
+    assert "Traceback" not in err
 
 
 def test_null_max_grad_norm_is_valid():
@@ -375,9 +389,12 @@ GOOD_CSV = "step_index,cell_1,cell_2\n0,1.0,2.0\n1,3.0,4.0\n2,5.0,6.0\n3,7.0,8.0
     ("csv", GOOD_CSV.replace("4.0", "inf"), "activity values must be finite and nonnegative"),
     ("csv", GOOD_CSV.replace("cell_2", "tower_2"), "unexpected trace header in"),
     ("csv", None, "No such file or directory"),
+    ("csv", GOOD_CSV.split("\n")[0] + "\n", "no data rows in"),
     # 2 of 10 rows have the wrong column count: above the 10% the loader allows
     ("cdr", "1\t0\t39\t\t\t\t\t1.5\n" * 8 + "1\t0\t39\n" * 2, "2/10 malformed rows in"),
-], ids=["negative", "nan", "inf", "header", "missing", "cdr_malformed"])
+    ("cdr", "1\t0\t39\t\t\t\t\t\n", "no usable records in"),
+], ids=["negative", "nan", "inf", "header", "missing", "csv_no_rows", "cdr_malformed",
+        "cdr_no_usable_rows"])
 def test_cli_bad_trace_file_exit_one(tmp_path, capsys, source, text, message):
     path = tmp_path / "trace.txt"
     if text is not None:

@@ -1,10 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sfcsim.trace import (ActivityRecord, DiurnalProfile, SteppedTrace,
-                          TraceFormatError, aggregate_steps,
-                          generate_synthetic_trace, load_cdr_file,
+from sfcsim.trace import (DiurnalProfile, SteppedTrace, TraceFormatError,
+                          generate_synthetic_trace, load_cdr_trace,
                           read_trace_csv, split_train_test, write_trace_csv)
+
+from helpers import cdr_trace_oracle
+
+T0 = 1383260400000  # 2013-11-01 00:00 at UTC+1, on every step grid used here
 
 
 def write_cdr(path, rows):
@@ -15,82 +21,192 @@ def write_cdr(path, rows):
             fh.write(f"{cell}\t{ts}\t39\t\t\t\t\t{internet_s}\n")
 
 
+def malformed_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.name == "sfcsim.trace" and r.levelno == logging.WARNING]
+
+
 # ----------------------------------------------------------------- CDR loader
 
-def test_load_cdr_single_row_with_filter(tmp_path):
+def test_load_cdr_single_row_with_filter(tmp_path, caplog):
     path = tmp_path / "cdr.txt"
-    write_cdr(path, [(42, 1383260400000, 12.5)])
-    result = load_cdr_file(path, cell_filter={42})
-    assert result.records == [ActivityRecord(42, 1383260400000, 12.5)]
-    assert result.malformed_rows == 0
+    write_cdr(path, [(42, T0, 12.5)])
+    trace = load_cdr_trace(path, 300, cell_filter={42})
+    assert trace.cell_ids == [42]
+    assert trace.steps.tolist() == [[12.5]]
+    assert trace.origin_time_ms == T0 and trace.step_duration == 300
+    assert malformed_warnings(caplog) == []
 
 
 def test_load_cdr_empty_file(tmp_path):
     path = tmp_path / "cdr.txt"
     path.write_text("")
-    result = load_cdr_file(path)
-    assert result.records == []
-    assert result.malformed_rows == 0
+    with pytest.raises(TraceFormatError, match="no usable records in"):
+        load_cdr_trace(path, 300)
 
 
 def test_load_cdr_filter_excludes_other_cells(tmp_path):
     path = tmp_path / "cdr.txt"
-    write_cdr(path, [(7, 1383260400000, 3.0), (42, 1383260400000, 1.0)])
-    result = load_cdr_file(path, cell_filter={42})
-    assert [r.cell_id for r in result.records] == [42]
+    write_cdr(path, [(7, T0, 3.0), (42, T0, 1.0)])
+    trace = load_cdr_trace(path, 300, cell_filter={42})
+    assert trace.cell_ids == [42]
+    assert trace.steps.tolist() == [[1.0]]
 
 
 def test_load_cdr_round_trip(tmp_path):
-    rows = [(c, 1383260400000 + 600_000 * i, float(i) + 0.25)
+    rows = [(c, T0 + 600_000 * i, float(i) + 0.25)
             for i, c in enumerate([3, 1, 4, 1, 5])]
     path = tmp_path / "cdr.txt"
     write_cdr(path, rows)
-    result = load_cdr_file(path)
-    assert [(r.cell_id, r.timestamp_ms, r.internet_activity)
-            for r in result.records] == rows
+    trace = load_cdr_trace(path, 600)
+    assert trace.cell_ids == [1, 3, 4, 5]
+    expected = np.zeros((5, 4))
+    for i, (cell, _, activity) in enumerate(rows):
+        expected[i, trace.cell_ids.index(cell)] = activity
+    assert np.array_equal(trace.steps, expected)
 
 
-def test_load_cdr_empty_internet_field_is_not_malformed(tmp_path):
+def test_load_cdr_empty_internet_field_is_not_malformed(tmp_path, caplog):
     path = tmp_path / "cdr.txt"
-    write_cdr(path, [(42, 1383260400000, None), (42, 1383261000000, 2.0)])
-    result = load_cdr_file(path)
-    assert len(result.records) == 1
-    assert result.malformed_rows == 0
+    write_cdr(path, [(42, T0, None), (42, T0 + 600_000, 2.0)])
+    trace = load_cdr_trace(path, 300)
+    assert trace.steps.tolist() == [[2.0]]
+    assert trace.origin_time_ms == T0 + 600_000
+    assert malformed_warnings(caplog) == []
 
 
-def test_load_cdr_counts_malformed_rows(tmp_path):
+def test_load_cdr_counts_malformed_rows(tmp_path, caplog):
     path = tmp_path / "cdr.txt"
     with open(path, "w") as fh:
         for i in range(20):
-            fh.write(f"{i}\t1383260400000\t39\t\t\t\t\t1.0\n")
+            fh.write(f"{i}\t{T0}\t39\t\t\t\t\t1.0\n")
         fh.write("not\ta\tcdr\trow\n")
-    result = load_cdr_file(path)
-    assert result.malformed_rows == 1
-    assert len(result.records) == 20
+    trace = load_cdr_trace(path, 300)
+    assert malformed_warnings(caplog) == [f"skipped 1 malformed rows out of 21 in {path}"]
+    assert trace.cell_ids == list(range(20))
+    assert trace.steps.tolist() == [[1.0] * 20]
 
 
-def test_load_cdr_counts_non_finite_activity_as_malformed(tmp_path):
+def test_load_cdr_counts_non_finite_activity_as_malformed(tmp_path, caplog):
     path = tmp_path / "cdr.txt"
-    rows = [(i, 1383260400000, 1.0) for i in range(60)]
-    rows[3:3] = [(90, 1383260400000, "nan"), (91, 1383260400000, "inf"),
-                 (92, 1383260400000, "-inf"), (93, 1383260400000, "NaN"),
-                 (94, 1383260400000, "-1.5")]
+    rows = [(i, T0, 1.0) for i in range(60)]
+    rows[3:3] = [(90, T0, "nan"), (91, T0, "inf"), (92, T0, "-inf"),
+                 (93, T0, "NaN"), (94, T0, "-1.5")]
     write_cdr(path, rows)
-    result = load_cdr_file(path)
-    assert result.malformed_rows == 5 and result.total_rows == 65
-    assert [r.cell_id for r in result.records] == list(range(60))
+    trace = load_cdr_trace(path, 300)
+    assert malformed_warnings(caplog) == [f"skipped 5 malformed rows out of 65 in {path}"]
+    assert trace.cell_ids == list(range(60))
 
 
 def test_load_cdr_mostly_malformed_is_fatal(tmp_path):
     path = tmp_path / "cdr.txt"
     path.write_text("garbage line\n" * 10 + "42\t1\t39\t\t\t\t\t1.0\n")
-    with pytest.raises(TraceFormatError):
-        load_cdr_file(path)
+    with pytest.raises(TraceFormatError, match="10/11 malformed rows in"):
+        load_cdr_trace(path, 300)
 
 
 def test_load_cdr_unreadable_file_raises(tmp_path):
     with pytest.raises(OSError):
-        load_cdr_file(tmp_path / "missing.txt")
+        load_cdr_trace(tmp_path / "missing.txt", 300)
+
+
+def test_aggregate_sums_records_in_same_window(tmp_path):
+    path = tmp_path / "cdr.txt"
+    write_cdr(path, [(1, 100_000, 3.0), (1, 200_000, 4.0)])
+    trace = load_cdr_trace(path, 300)
+    assert trace.steps.shape == (1, 1)
+    assert trace.steps[0, 0] == 7.0
+    assert trace.origin_time_ms == 0
+
+
+def test_aggregate_62_days_gives_8928_native_steps(tmp_path):
+    # 62 days at the dataset's native 10-minute interval: 62 * 144 = 8,928
+    # events, the step count the experiment runs on.
+    day_ms = 86_400_000
+    path = tmp_path / "cdr.txt"
+    write_cdr(path, [(1, t, 1.0) for t in range(0, 62 * day_ms, 600_000)])
+    trace = load_cdr_trace(path, 600)
+    assert trace.n_steps == 8928
+    assert np.all(trace.steps == 1.0)
+
+
+def test_aggregate_10min_records_at_5min_steps_alternate_with_zeros(tmp_path):
+    # The steps end at the last occupied one: 144 rows span 287 five-minute steps.
+    day_ms = 86_400_000
+    path = tmp_path / "cdr.txt"
+    write_cdr(path, [(1, t, 1.0) for t in range(0, day_ms, 600_000)])
+    trace = load_cdr_trace(path, 300)
+    assert trace.n_steps == 287
+    assert np.all(trace.steps[::2, 0] == 1.0)
+    assert np.all(trace.steps[1::2, 0] == 0.0)
+
+
+def test_aggregate_conserves_mass(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = [(int(rng.choice([1, 2, 3])), int(rng.integers(0, 3_600_000)),
+             float(rng.uniform(0, 5))) for _ in range(500)]
+    path = tmp_path / "cdr.txt"
+    write_cdr(path, rows)
+    trace = load_cdr_trace(path, 300)
+    assert trace.cell_ids == [1, 2, 3]
+    assert trace.steps.sum() == pytest.approx(sum(r[2] for r in rows), abs=1e-9)
+
+
+# Decimal fractions that binary floats cannot hold, so that a bucket's sum
+# depends on the order of its rows.
+INEXACT = [0.1, 0.2, 0.3, 0.7, 1.1, 2.675, 1e16, 3.3, 0.0, -0.0]
+CELLS = [1, 2, 3, 5, 8]
+MALFORMED = ["1\t0\t39", "x\t{ts}\t39\t\t\t\t\t1.0", "1\t{ts}.5\t39\t\t\t\t\t1.0",
+             "1\t{ts}\t39\t\t\t\t\tabc", "1\t{ts}\t39\t\t\t\t\t-1.5",
+             "1\t{ts}\t39\t\t\t\t\tnan", "1\t{ts}\t39\t\t\t\t\tinf",
+             "1\t{ts}\t39\t\t\t\t\t-inf", "garbage"]
+
+
+@st.composite
+def cdr_files(draw):
+    """(lines, step_duration, cell_filter) of a CDR file that mixes usable
+    rows (on and off the step grid, several to a bucket), rows with no
+    internet value, blank lines and up to about 15% malformed rows."""
+    step = draw(st.sampled_from([7, 300, 600, 3600]))
+    offsets = st.integers(0, 4 * 3600 * 1000)
+    activities = st.one_of(st.sampled_from(INEXACT),
+                           st.floats(0, 1e6, allow_nan=False, allow_infinity=False))
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        cell, ts = draw(st.sampled_from(CELLS)), T0 + draw(offsets)
+        # a bucket of several rows in one step of one cell
+        for activity in draw(st.lists(activities, min_size=1, max_size=4)):
+            lines.append(f"{cell}\t{ts}\t39\t1\t\t\t\t{activity!r}")
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(f"{draw(st.sampled_from(CELLS))}\t{T0 + draw(offsets)}\t39\t\t\t\t\t"
+                     + draw(st.sampled_from(["", " "])))
+    n_bad = draw(st.integers(0, max(1, len(lines) * 15 // 85)))
+    lines += [draw(st.sampled_from(MALFORMED)).format(ts=T0 + draw(offsets))
+              for _ in range(n_bad)]
+    lines += [""] * draw(st.integers(0, 3))
+    lines = draw(st.permutations(lines))
+    cell_filter = draw(st.sampled_from([None, {1, 5}, {2, 3, 8}, {100, 101}]))
+    return lines, step, cell_filter
+
+
+@settings(max_examples=200, deadline=None)
+@given(cdr_files(), st.sampled_from(["\n", "\r\n"]))
+def test_load_cdr_trace_matches_three_stage_oracle(tmp_path_factory, case, newline):
+    lines, step, cell_filter = case
+    path = tmp_path_factory.getbasetemp() / "cdr_property.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + newline for line in lines))
+    try:
+        expected = cdr_trace_oracle(path, step, cell_filter)
+    except (TraceFormatError, OSError) as exc:
+        with pytest.raises(type(exc)):
+            load_cdr_trace(path, step, cell_filter)
+        return
+    trace = load_cdr_trace(path, step, cell_filter)
+    assert trace.cell_ids == expected.cell_ids
+    assert trace.origin_time_ms == expected.origin_time_ms
+    assert trace.step_duration == expected.step_duration
+    assert trace.steps.tobytes() == expected.steps.tobytes()
 
 
 # ----------------------------------------------------------------- stepped trace
@@ -106,66 +222,6 @@ def test_stepped_trace_rejects_negative_or_non_finite_activity(bad):
 def test_stepped_trace_accepts_zero_and_empty_matrices():
     assert SteppedTrace([1, 2], [[0.0, -0.0], [2.0, 3.0]]).step_totals().tolist() == [0.0, 5.0]
     assert SteppedTrace([1, 2], np.zeros((0, 2))).n_steps == 0
-
-
-# ----------------------------------------------------------------- aggregation
-
-def test_aggregate_sums_records_in_same_window():
-    records = [ActivityRecord(1, 100_000, 3.0), ActivityRecord(1, 200_000, 4.0)]
-    trace = aggregate_steps(records, [1], 300, (0, 300_000))
-    assert trace.steps.shape == (1, 1)
-    assert trace.steps[0, 0] == 7.0
-
-
-def test_aggregate_cell_without_records_is_zero():
-    records = [ActivityRecord(1, 100_000, 3.0)]
-    trace = aggregate_steps(records, [1, 2], 300, (0, 600_000))
-    assert np.all(trace.steps[:, 1] == 0.0)
-
-
-def test_aggregate_62_days_gives_8928_native_steps():
-    # 62 days at the dataset's native 10-minute interval: 62 * 144 = 8,928
-    # events, the step count the experiment runs on.
-    day_ms = 86_400_000
-    records = [ActivityRecord(1, t, 1.0)
-               for t in range(0, 62 * day_ms, 600_000)]
-    trace = aggregate_steps(records, [1], 600, (0, 62 * day_ms))
-    assert trace.n_steps == 8928
-    assert np.all(trace.steps == 1.0)
-
-
-def test_aggregate_10min_records_at_5min_steps_alternate_with_zeros():
-    day_ms = 86_400_000
-    records = [ActivityRecord(1, t, 1.0) for t in range(0, day_ms, 600_000)]
-    trace = aggregate_steps(records, [1], 300, (0, day_ms))
-    assert trace.n_steps == 288
-    assert np.all(trace.steps[::2, 0] == 1.0)
-    assert np.all(trace.steps[1::2, 0] == 0.0)
-
-
-def test_aggregate_skips_records_outside_horizon():
-    records = [ActivityRecord(1, 100_000, 3.0), ActivityRecord(1, 999_999_999, 5.0)]
-    trace = aggregate_steps(records, [1], 300, (0, 300_000))
-    assert trace.steps.sum() == 3.0
-
-
-def test_aggregate_requires_whole_number_of_steps():
-    with pytest.raises(ValueError):
-        aggregate_steps([], [1], 300, (0, 450_000))
-
-
-def test_aggregate_conserves_mass():
-    rng = np.random.default_rng(3)
-    cells = [1, 2, 3]
-    horizon = (0, 3_600_000)
-    records = [
-        ActivityRecord(int(rng.choice(cells)), int(rng.integers(0, horizon[1])),
-                       float(rng.uniform(0, 5)))
-        for _ in range(500)
-    ]
-    trace = aggregate_steps(records, cells, 300, horizon)
-    assert trace.steps.sum() == pytest.approx(
-        sum(r.internet_activity for r in records), abs=1e-9)
 
 
 # ----------------------------------------------------------------------- split
