@@ -85,6 +85,8 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a str, got {self.out_dir!r}")
         seed = self.master_seed
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError(f"master_seed must be an int >= 0, got {seed!r}")
@@ -112,8 +114,15 @@ _SECTIONS = {
 }
 
 
-# YAML gives 1.5 or true where an int is meant; a dataclass would take either.
-_INT_FIELD_TYPES = {int: int, int | None: (int, type(None))}
+# YAML gives 1.5, true or "0.5" where a number is meant and "false" where a
+# bool is; a dataclass would take any of them. Nothing is converted, so the
+# config hash sees the YAML's own values. A bool passes only a bool field.
+_NONE = type(None)
+_FIELD_TYPES = {
+    int: ("an int", int), int | None: ("an int", (int, _NONE)),
+    float: ("a float", (int, float)), float | None: ("a float", (int, float, _NONE)),
+    bool: ("a bool", bool), str: ("a str", str), str | None: ("a str", (str, _NONE)),
+}
 
 
 def _build_section(cls, data: dict, section: str):
@@ -122,9 +131,10 @@ def _build_section(cls, data: dict, section: str):
     if unknown:
         raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
     for name, value in data.items():
-        allowed = _INT_FIELD_TYPES.get(known[name].type)
-        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
-            raise ConfigError(f"invalid [{section}] section: {name} must be an int, "
+        ftype = known[name].type
+        kind, allowed = _FIELD_TYPES[ftype]
+        if not isinstance(value, allowed) or (isinstance(value, bool) and ftype is not bool):
+            raise ConfigError(f"invalid [{section}] section: {name} must be {kind}, "
                               f"got {value!r}")
     try:
         return cls(**data)

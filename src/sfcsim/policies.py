@@ -63,6 +63,9 @@ class RandomPolicy:
         return action
 
 
+_NOOP_ACTION = ActionTuple(4, 0, 0, 0)
+
+
 class StaticGreedyPolicy:
     """Deterministic rule: complete the chain, then refresh risky instances.
 
@@ -70,27 +73,29 @@ class StaticGreedyPolicy:
     least-loaded up server with room for it; otherwise restart the instance
     with the highest fail-risk score once it exceeds the threshold; otherwise
     do nothing.
+
+    A scan that ends in a no-op keeps ``(sim, sim.changes, oldest)``, the
+    smallest ``age_anchor`` of an up instance on an up server (``inf`` if
+    none). Acts on that sim return the no-op unscanned while ``changes``
+    holds and ``now - oldest`` is at most the (recomputed) skip floor. That
+    is exact: with ``changes`` unchanged, no ``up``, ``vnfs`` or anchor has
+    moved, so the chain branch answers as at the kept scan; and as
+    subtraction is monotone, no later anchor is older than ``oldest``, so
+    none passes the floor.
     """
 
     reads_obs = False
 
     def __init__(self, risk_threshold: float = 0.5):
         self.risk_threshold = risk_threshold
+        self._quiet = (None, 0, math.inf)  # (sim, changes, oldest) of the last no-op scan
 
     def reset(self, seed: int) -> None:
         pass
 
     def act(self, obs, env: SfcEnv) -> ActionTuple:
         sim = env.sim
-        counts = sim.operational_type_counts()
-        for vnf_type in range(N_VNF_TYPES):
-            if counts[vnf_type] == 0:
-                target = self._least_loaded(sim, vnf_type)
-                if target is not None:
-                    return ActionTuple(1, target[0], target[1], vnf_type)
-        # Strict > keeps the first instance, in walk order, of the highest risk.
-        t = best_risk = self.risk_threshold
-        target = None
+        t = self.risk_threshold
         now, mttf_vnf = sim.time, sim.failure.mttf_vnf
         # Skip rule: no instance of age <= floor = mttf * L * (1 - 1e-9), where
         # L = -log1p(-t), scores above t. The floor and age / mttf carry under
@@ -101,6 +106,19 @@ class StaticGreedyPolicy:
         # scored. As the floor is >= 0, the unclamped ``now - age_anchor`` serves.
         floor = (-mttf_vnf * math.log1p(-t) * (1 - 1e-9)
                  if 1e-6 <= t < 1 and mttf_vnf > 1e-300 else -math.inf)
+        quiet_sim, quiet_changes, oldest = self._quiet
+        if sim is quiet_sim and sim.changes == quiet_changes and now - oldest <= floor:
+            return _NOOP_ACTION
+        counts = sim.operational_type_counts()
+        for vnf_type in range(N_VNF_TYPES):
+            if counts[vnf_type] == 0:
+                target = self._least_loaded(sim, vnf_type)
+                if target is not None:
+                    return ActionTuple(1, target[0], target[1], vnf_type)
+        # Strict > keeps the first instance, in walk order, of the highest risk.
+        best_risk = t
+        target = None
+        oldest = math.inf
         for row, n_allocated in zip(sim.servers, sim.dc_alloc):
             if not n_allocated:
                 continue
@@ -108,13 +126,18 @@ class StaticGreedyPolicy:
                 if not (server.up and server.vnfs):
                     continue
                 for inst in server.vnfs:
-                    if (inst.up and now - inst.age_anchor > floor
+                    if not inst.up:
+                        continue
+                    if inst.age_anchor < oldest:
+                        oldest = inst.age_anchor
+                    if (now - inst.age_anchor > floor
                             and (risk := vnf_fail_risk(inst, now, mttf_vnf)) > best_risk):
                         best_risk = risk
                         target = (server.dc_id, server.server_id, inst.vnf_type)
         if target is not None:
             return ActionTuple(3, *target)
-        return ActionTuple(4, 0, 0, 0)
+        self._quiet = (sim, sim.changes, oldest)
+        return _NOOP_ACTION
 
     @staticmethod
     def _least_loaded(sim, vnf_type: int):

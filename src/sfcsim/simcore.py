@@ -200,6 +200,11 @@ class SimState:
     up servers. Writing an ``up`` field from outside bypasses them and is
     unsupported.
 
+    ``changes`` counts processed events and accepted creates, deletes and
+    restarts, so while it holds no ``up``, ``vnfs`` or ``age_anchor`` field
+    has moved (``StaticGreedyPolicy`` relies on it). An outside write to one
+    of them must add 1 to it.
+
     Each server and instance has one pending event, at its ``due`` time: a
     failure if it is up, a repair if not. Heap entries are ``(time, seq,
     server, instance or None)``; an entry is live exactly when its time is
@@ -212,6 +217,7 @@ class SimState:
         self.failure = failure
         self.time = 0.0
         self.seed = seed
+        self.changes = 0
         self._seq = 0
         self._next_instance_id = 0
         self._heap: list[tuple] = []
@@ -278,6 +284,7 @@ class SimState:
         return processed
 
     def _process_server_event(self, server: ServerState) -> None:
+        self.changes += 1
         if server.up:
             server.up = False
             server.down_since = self.time
@@ -302,6 +309,7 @@ class SimState:
         self._schedule(server)
 
     def _process_vnf_event(self, server: ServerState, inst: VnfInstance) -> None:
+        self.changes += 1
         if inst.up:
             inst.up = False
             self._up_counts[inst.vnf_type] -= 1
@@ -360,6 +368,7 @@ class SimState:
         self._dc_alloc[dc] += 1
         self._up_counts[vnf_type] += 1
         self._schedule(server, inst)
+        self.changes += 1
         return ActionOutcome(True, "created", inst.instance_id)
 
     def _targeting_risk(self, inst: VnfInstance) -> float:
@@ -380,6 +389,7 @@ class SimState:
         self._dc_alloc[server.dc_id] -= 1
         if target.up:
             self._up_counts[vnf_type] -= 1
+        self.changes += 1
         return ActionOutcome(True, "deleted", target.instance_id)
 
     def _restart(self, server: ServerState, vnf_type: int) -> ActionOutcome:
@@ -390,6 +400,7 @@ class SimState:
                      key=lambda v: (self._targeting_risk(v), -v.instance_id))
         target.age_anchor = self.time
         self._schedule(server, target)
+        self.changes += 1
         return ActionOutcome(True, "restarted", target.instance_id)
 
     # --------------------------------------------------------------- queries

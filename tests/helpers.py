@@ -2,10 +2,13 @@
 
 ``instances`` walks a simulator's raw state, which tests compare the kept
 aggregates with; ``force_server_failure`` moves a server's pending event
-to a given time; ``write_event_log`` exports the simulator's processed
-events (the golden event-log digest pins its bytes); ``head_log_probs``
-gives each action head's log-probabilities, from which tests build
-``old_logp`` batches and check the sampler's joint log-probability.
+to a given time; ``set_age_anchor`` writes an instance's anchor as an
+outside writer must, counting it in ``changes``; ``skip_floor`` is the
+greedy scan's skip floor and ``nudge`` steps a float by ulps;
+``write_event_log`` exports the simulator's processed events (the golden
+event-log digest pins its bytes); ``head_log_probs`` gives each action
+head's log-probabilities, from which tests build ``old_logp`` batches and
+check the sampler's joint log-probability.
 ``step_obs`` returns one ``SfcEnv.step``'s record together with the next
 observation, the reward and ``done``. ``encode_observation_oracle``,
 ``greedy_act_oracle``, ``random_act_oracle``, ``sample_oracle``,
@@ -41,6 +44,27 @@ def force_server_failure(state, server, t: float) -> None:
     """Make ``server``'s pending event, a failure while it is up, fall at t."""
     server.due = t
     state._push(t, server)
+
+
+def set_age_anchor(state, inst, anchor: float) -> None:
+    """Write ``inst.age_anchor`` from outside, adding 1 to ``state.changes``
+    as ``SimState``'s contract asks of such a write."""
+    inst.age_anchor = anchor
+    state.changes += 1
+
+
+def skip_floor(threshold: float, mttf_vnf: float) -> float:
+    """The age at or below which the greedy scan skips an instance (its formula)."""
+    if 1e-6 <= threshold < 1:
+        return -mttf_vnf * math.log1p(-threshold) * (1 - 1e-9)
+    return -math.inf
+
+
+def nudge(x: float, ulps: int) -> float:
+    """``x`` moved by ``ulps`` units in the last place (down if negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
 
 
 def write_event_log(events: list[SimEvent], path,

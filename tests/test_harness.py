@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 import yaml
 
-from sfcsim import harness
+from sfcsim import config, harness
 from sfcsim.cli import main as cli_main
 from sfcsim.config import (ConfigError, ExperimentConfig, config_from_dict,
                            config_hash, config_to_dict, load_config,
@@ -303,6 +304,12 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"trace": {"n_cells": 1.5}}, id="trace_n_cells_float"),
     pytest.param({"ppo": {"total_steps": 4096.0}}, id="total_steps_float"),
     pytest.param({"topology": {"n_dcs": True}}, id="n_dcs_bool"),
+    pytest.param({"env": {"normalize_obs": "false"}}, id="normalize_obs_str"),
+    pytest.param({"ppo": {"normalize_rewards": "no"}}, id="normalize_rewards_str"),
+    pytest.param({"trace": {"amplitude": "x"}}, id="amplitude_str"),
+    pytest.param({"ppo": {"max_grad_norm": "0.5"}}, id="max_grad_norm_str"),
+    pytest.param({"trace": {"path": 5}}, id="trace_path_int"),
+    pytest.param({"out_dir": 5}, id="out_dir_int"),
     *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
       for section, key, value in REMOVED_KEYS],
 ])
@@ -326,6 +333,33 @@ def test_cli_malformed_yaml_exit_one(tmp_path, capsys):
     assert code == 1
     assert f"config error: {cfg_path}: while parsing a flow sequence" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"env": {"normalize_obs": "false"}}, "[env] section: normalize_obs must be a bool, got 'false'"),
+    ({"ppo": {"normalize_observations": 1}}, "normalize_observations must be a bool, got 1"),
+    ({"trace": {"amplitude": "x"}}, "[trace] section: amplitude must be a float, got 'x'"),
+    ({"failure": {"mttf_vnf": True}}, "mttf_vnf must be a float, got True"),
+    ({"env": {"activity_scale": "2"}}, "activity_scale must be a float, got '2'"),
+    ({"trace": {"source": 1}}, "[trace] section: source must be a str, got 1"),
+    ({"cluster": {"model_path": False}}, "model_path must be a str, got False"),
+    ({"out_dir": 5}, "out_dir must be a str, got 5"),
+])
+def test_wrong_typed_field_names_its_type(data, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert message in str(exc.value)
+
+
+def test_typed_fields_keep_their_values():
+    # ints stand for floats and null for optional fields, and nothing is
+    # converted, so the config hash sees the values as written
+    cfg = config_from_dict({"failure": {"mttf_vnf": 24}, "ppo": {"max_grad_norm": None},
+                            "env": {"normalize_obs": True, "activity_scale": 3}})
+    assert type(cfg.failure.mttf_vnf) is int and type(cfg.env.activity_scale) is int
+    assert cfg.ppo.max_grad_norm is None and cfg.env.normalize_obs is True
+    for cls in config._SECTIONS.values():
+        assert all(f.type in config._FIELD_TYPES for f in dataclasses.fields(cls))
 
 
 def test_null_max_grad_norm_is_valid():

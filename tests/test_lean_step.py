@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (encode_observation_oracle, force_server_failure, greedy_act_oracle,
-                     head_log_probs, instances, random_act_oracle, sample_oracle, step_obs)
+                     head_log_probs, instances, nudge, random_act_oracle, sample_oracle,
+                     set_age_anchor, skip_floor, step_obs)
 from sfcsim.env import ActionTuple, EnvConfig, SfcEnv, StepRecord
 from sfcsim.policies import RandomPolicy, StaticGreedyPolicy
 from sfcsim.policy import PolicyNetwork
@@ -230,19 +231,6 @@ GREEDY_THRESHOLDS = (-0.5, 0.0, 1e-7, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-6, 1.0, 1.5)
 GREEDY_MTTF_VNF = (0.05, 0.5, 24.0, 1e4)
 
 
-def skip_floor(threshold: float, mttf_vnf: float) -> float:
-    """The age at or below which the greedy scan skips an instance (its formula)."""
-    if 1e-6 <= threshold < 1:
-        return -mttf_vnf * math.log1p(-threshold) * (1 - 1e-9)
-    return -math.inf
-
-
-def nudge(x: float, ulps: int) -> float:
-    for _ in range(abs(ulps)):
-        x = math.nextafter(x, math.copysign(math.inf, ulps))
-    return x
-
-
 @settings(max_examples=400, deadline=None)
 @given(seed=st.integers(0, 2**16), operations=st.lists(OPERATION, max_size=80),
        threshold=st.sampled_from(GREEDY_THRESHOLDS),
@@ -267,9 +255,9 @@ def test_greedy_scan_matches_instances_walk(seed, operations, threshold, mttf_vn
                 state.advance_to(state.time)
         elif op[0] == "age_at_floor" and placed:
             age = nudge(floor if floor > 0 else mttf_vnf, op[2])
-            placed[op[1] % len(placed)].age_anchor = state.time - age
+            set_age_anchor(state, placed[op[1] % len(placed)], state.time - age)
         elif op[0] == "anchor_past_now" and placed:
-            placed[op[1] % len(placed)].age_anchor = state.time + op[2]
+            set_age_anchor(state, placed[op[1] % len(placed)], state.time + op[2])
         assert state.dc_alloc == tuple(state.alloc.sum(axis=(1, 2)).tolist())
         action = policy.act(None, env)
         assert action == greedy_act_oracle(policy, env)
@@ -301,14 +289,14 @@ def test_greedy_skip_floor_holds_within_one_ulp(threshold, mttf_vnf):
                  for ulps in (-1, 0, 1)]
     for age in ages:
         for inst in state.servers[3][0].vnfs + state.servers[3][1].vnfs:
-            inst.age_anchor = -age
+            set_age_anchor(state, inst, -age)
             assert state.time - inst.age_anchor == age
             if age <= floor:  # the bound the skip rests on
                 assert vnf_fail_risk(inst, state.time, mttf_vnf) <= threshold
         assert policy.act(None, env) == greedy_act_oracle(policy, env)
     # anchors past now: the clamped age is 0, a risk of 0
     for i, (_, inst) in enumerate(instances(state)):
-        inst.age_anchor = state.time + 0.5 * (i + 1)
+        set_age_anchor(state, inst, state.time + 0.5 * (i + 1))
     action = policy.act(None, env)
     assert action == greedy_act_oracle(policy, env)
     if threshold < 0:

@@ -3,9 +3,11 @@ and instances on a down server stay suspended.
 
 Hypothesis draws random interleavings of management actions, clock
 advances and forced server failures; after every operation each query is
-recomputed from the raw ``instances`` walk and compared exactly. The
-second test replays each advance's processed events in order and checks
-that no instance event fires while its server is down.
+recomputed from the raw ``instances`` walk and compared exactly, and
+``changes`` must equal the processed events plus the accepted creates,
+deletes and restarts so far. The second test replays each advance's
+processed events in order and checks that no instance event fires while
+its server is down.
 """
 
 import numpy as np
@@ -56,18 +58,19 @@ def assert_matches_rescan(state: SimState) -> None:
     assert alloc.max() <= topo.max_same_type_per_server
 
 
-def apply(state: SimState, op: tuple) -> list:
-    """Run one drawn operation; returns the events it processed."""
+def apply(state: SimState, op: tuple) -> tuple[list, int]:
+    """Run one drawn operation; returns the events it processed and 1 for an
+    accepted create, delete or restart (else 0)."""
     if op[0] == "act":
-        state.apply_action(*op[1:])
-    elif op[0] == "advance":
-        return state.advance_to(state.time + op[1])
-    else:
-        _, dc, sid, delay = op
-        server = state.servers[dc][sid]
-        if server.up:  # a down server cannot fail again
-            force_server_failure(state, server, state.time + delay)
-    return []
+        outcome = state.apply_action(*op[1:])
+        return [], int(outcome.accepted and op[1] != 4)
+    if op[0] == "advance":
+        return state.advance_to(state.time + op[1]), 0
+    _, dc, sid, delay = op
+    server = state.servers[dc][sid]
+    if server.up:  # a down server cannot fail again
+        force_server_failure(state, server, state.time + delay)
+    return [], 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,10 +78,14 @@ def apply(state: SimState, op: tuple) -> list:
 def test_aggregates_equal_full_rescan(seed, operations):
     state = SimState(TOPOLOGY, FAILURE, seed=seed)
     last_time = 0.0
+    changes = 0
     for op in operations:
-        for event in apply(state, op):
+        events, accepted = apply(state, op)
+        for event in events:
             assert event.time >= last_time
             last_time = event.time
+        changes += len(events) + accepted
+        assert state.changes == changes
         assert_matches_rescan(state)
     state.vnf_counts()[:] += 1  # changes the caller's copy, not the state
     with pytest.raises(ValueError):
@@ -93,7 +100,7 @@ def test_suspended_instances_never_fire(seed, operations):
     for op in operations:
         down = {(s.dc_id, s.server_id) for row in state.servers for s in row
                 if not s.up}
-        for event in apply(state, op):
+        for event in apply(state, op)[0]:
             host = (event.dc_id, event.server_id)
             if event.kind == SERVER_FAIL:
                 down.add(host)
