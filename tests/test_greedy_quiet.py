@@ -30,7 +30,7 @@ SERVER = st.integers(0, TOPOLOGY.servers_per_dc - 1)
 # below 1e-6 and from 1 on, the floor is -inf and only an empty scan set is
 # quiet; thresholds with a floor are drawn five times as often
 THRESHOLDS = (-0.5, 0.0, 1e-7, 1.0) + (1e-6, 0.1, 0.5, 0.9) * 5
-# runs of sub-step advances, an act after each, so that most acts are quiet
+# runs of sub-step advances, an act after each: about half of all acts are quiet
 TICKS = st.tuples(st.just("ticks"), st.integers(8, 30), st.floats(0.0, 0.003))
 OPERATION = st.one_of(
     TICKS, TICKS, TICKS,
@@ -52,7 +52,12 @@ def act_and_see_scan(policy, env) -> tuple[ActionTuple, bool]:
     """The policy's act, and whether it scanned: every scan asks the type counts."""
     state = env.sim
     calls = []
-    state.operational_type_counts = lambda: calls.append(1) or SimState.operational_type_counts(state)
+
+    def counted():
+        calls.append(1)
+        return SimState.operational_type_counts(state)
+
+    state.operational_type_counts = counted
     try:
         action = policy.act(None, env)
     finally:

@@ -336,7 +336,8 @@ def test_cli_malformed_yaml_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data, message", [
-    ({"env": {"normalize_obs": "false"}}, "[env] section: normalize_obs must be a bool, got 'false'"),
+    ({"env": {"normalize_obs": "false"}},
+     "[env] section: normalize_obs must be a bool, got 'false'"),
     ({"ppo": {"normalize_observations": 1}}, "normalize_observations must be a bool, got 1"),
     ({"trace": {"amplitude": "x"}}, "[trace] section: amplitude must be a float, got 'x'"),
     ({"failure": {"mttf_vnf": True}}, "mttf_vnf must be a float, got True"),
