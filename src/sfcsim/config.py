@@ -9,6 +9,7 @@ seed in a header comment so runs can be traced back to their inputs.
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -136,6 +137,8 @@ def _build_section(cls, data: dict, section: str):
         if not isinstance(value, allowed) or (isinstance(value, bool) and ftype is not bool):
             raise ConfigError(f"invalid [{section}] section: {name} must be {kind}, "
                               f"got {value!r}")
+        if isinstance(value, float) and math.isnan(value):  # passes every `x <= 0` check
+            raise ConfigError(f"invalid [{section}] section: {name} must not be NaN")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

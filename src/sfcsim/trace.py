@@ -26,6 +26,7 @@ DEFAULT_ORIGIN_MS = 1_383_260_400_000
 # call_in, call_out, internet_traffic. Only columns 0, 1 and 7 are consumed.
 CDR_COLUMNS = 8
 _CDR_INTERNET_COL = 7
+_NOISE_BLOCK_FLOATS = 1 << 16  # floats per row block of synthetic noise (512 KiB)
 
 
 class TraceFormatError(ValueError):
@@ -38,7 +39,8 @@ class SteppedTrace:
 
     ``steps`` has one row per step (time order) and one column per cell,
     aligned with ``cell_ids``. Missing intervals are explicit zeros. Treat
-    ``steps`` as fixed once built: ``step_totals`` sums it only once.
+    ``steps`` as fixed once built: ``step_totals`` sums it only once, and
+    the traces of a ``split_train_test`` hold row views of their source's.
     """
 
     cell_ids: list[int]
@@ -80,7 +82,7 @@ class SteppedTrace:
         if missing:
             raise KeyError(f"cells not in trace: {missing[:5]}")
         cols = [index[c] for c in cell_ids]
-        return SteppedTrace(list(cell_ids), self.steps[:, cols].copy(),
+        return SteppedTrace(list(cell_ids), self.steps[:, cols],  # indexing copies
                             self.step_duration, self.origin_time_ms)
 
 
@@ -173,15 +175,18 @@ def load_cdr_trace(path, step_duration: int,
 
 
 def split_train_test(trace: SteppedTrace, fraction: float) -> TraceSplit:
-    """Chronological split: first floor(fraction*rows) rows train, rest test."""
+    """Chronological split: first floor(fraction*rows) rows train, rest test.
+
+    Both halves hold row views of ``trace.steps``, not copies.
+    """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     if trace.n_steps < 2:
         raise ValueError("need at least 2 rows to split")
     n_train = math.floor(fraction * trace.n_steps)
-    train = SteppedTrace(list(trace.cell_ids), trace.steps[:n_train].copy(),
+    train = SteppedTrace(list(trace.cell_ids), trace.steps[:n_train],
                          trace.step_duration, trace.origin_time_ms)
-    test = SteppedTrace(list(trace.cell_ids), trace.steps[n_train:].copy(),
+    test = SteppedTrace(list(trace.cell_ids), trace.steps[n_train:],
                         trace.step_duration,
                         trace.origin_time_ms + n_train * trace.step_duration * 1000)
     return TraceSplit(train, test, fraction)
@@ -195,6 +200,8 @@ def generate_synthetic_trace(n_cells: int, n_steps: int, seed: int,
 
     The matrix is rescaled so the mean total activity per step equals
     ``profile.mean_step_total`` exactly (when the raw signal is nonzero).
+    It is built in place: the noise is drawn and added in row blocks of
+    about 64 Ki floats, so the trace is the only trace-sized array.
     """
     if n_cells < 1 or n_steps < 1:
         raise ValueError("n_cells and n_steps must be >= 1")
@@ -204,10 +211,17 @@ def generate_synthetic_trace(n_cells: int, n_steps: int, seed: int,
     hours = (origin_time_ms / 3_600_000.0) + np.arange(n_steps) * (step_duration / 3600.0)
     diurnal = 1.0 + profile.amplitude * np.sin(
         2 * np.pi * (hours - profile.peak_hour + 6.0) / 24.0)
-    base = np.outer(np.clip(diurnal, 0.0, None), scales)
+    base = np.clip(diurnal, 0.0, None)[:, None] * scales  # np.outer, bit for bit
     if profile.noise > 0:
-        base = base + np.abs(rng.normal(0.0, profile.noise, size=base.shape)) * scales
-    base = np.clip(base, 0.0, None)
+        # Generator.normal fills its output in C order, so row blocks draw
+        # the numbers of one (n_steps, n_cells) draw without holding it
+        rows = max(1, _NOISE_BLOCK_FLOATS // n_cells)
+        for start in range(0, n_steps, rows):
+            block = base[start:start + rows]
+            noise = np.abs(rng.normal(0.0, profile.noise, size=block.shape))
+            noise *= scales
+            block += noise
+    np.clip(base, 0.0, None, out=base)
     mean_total = base.sum(axis=1).mean()
     if mean_total > 0:
         base *= profile.mean_step_total / mean_total

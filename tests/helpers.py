@@ -12,11 +12,12 @@ check the sampler's joint log-probability.
 ``step_obs`` returns one ``SfcEnv.step``'s record together with the next
 observation, the reward and ``done``. ``encode_observation_oracle``,
 ``greedy_act_oracle``, ``random_act_oracle``, ``sample_oracle``,
-``evaluate_oracle`` and ``cdr_trace_oracle`` are the earlier forms of
-``SfcEnv.encode_observation``, ``StaticGreedyPolicy.act``,
-``RandomPolicy.act``, ``PolicyNetwork.sample``, ``evaluate_policy`` and
-``trace.load_cdr_trace``, kept as the oracles that the current ones must
-match bit for bit.
+``evaluate_oracle``, ``cdr_trace_oracle`` and ``synthetic_trace_oracle``
+are the earlier forms of ``SfcEnv.encode_observation``,
+``StaticGreedyPolicy.act``, ``RandomPolicy.act``, ``PolicyNetwork.sample``,
+``evaluate_policy``, ``trace.load_cdr_trace`` and
+``trace.generate_synthetic_trace``, kept as the oracles that the current
+ones must match bit for bit.
 """
 
 import math
@@ -29,7 +30,8 @@ from sfcsim.policies import EvalResult
 from sfcsim.policy import PolicyNetwork, _log_softmax_np
 from sfcsim.seeding import derive_seed
 from sfcsim.simcore import N_VNF_TYPES, VNF_TYPES, SimEvent, vnf_fail_risk
-from sfcsim.trace import CDR_COLUMNS, SteppedTrace, TraceFormatError
+from sfcsim.trace import (CDR_COLUMNS, DEFAULT_ORIGIN_MS, DEFAULT_STEP_DURATION,
+                          DiurnalProfile, SteppedTrace, TraceFormatError)
 
 
 def instances(state):
@@ -234,3 +236,28 @@ def cdr_trace_oracle(path, step_duration: int,
     for cell, timestamp, activity in records:
         steps[(timestamp - start) // step_ms, col[cell]] += activity
     return SteppedTrace(cells, steps, step_duration, start)
+
+
+def synthetic_trace_oracle(n_cells: int, n_steps: int, seed: int,
+                           profile: DiurnalProfile | None = None,
+                           step_duration: int = DEFAULT_STEP_DURATION,
+                           origin_time_ms: int = DEFAULT_ORIGIN_MS) -> SteppedTrace:
+    """``generate_synthetic_trace`` in one shot: an ``np.outer`` base, one
+    ``(n_steps, n_cells)`` noise draw, and a new array for each stage."""
+    if n_cells < 1 or n_steps < 1:
+        raise ValueError("n_cells and n_steps must be >= 1")
+    profile = profile or DiurnalProfile()
+    rng = np.random.default_rng(seed)
+    scales = np.exp(rng.normal(0.0, profile.cell_scale_spread / 2, size=n_cells))
+    hours = (origin_time_ms / 3_600_000.0) + np.arange(n_steps) * (step_duration / 3600.0)
+    diurnal = 1.0 + profile.amplitude * np.sin(
+        2 * np.pi * (hours - profile.peak_hour + 6.0) / 24.0)
+    base = np.outer(np.clip(diurnal, 0.0, None), scales)
+    if profile.noise > 0:
+        base = base + np.abs(rng.normal(0.0, profile.noise, size=base.shape)) * scales
+    base = np.clip(base, 0.0, None)
+    mean_total = base.sum(axis=1).mean()
+    if mean_total > 0:
+        base *= profile.mean_step_total / mean_total
+    cells = list(range(profile.first_cell_id, profile.first_cell_id + n_cells))
+    return SteppedTrace(cells, base, step_duration, origin_time_ms)

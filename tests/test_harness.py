@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +148,19 @@ def test_build_envs_split_and_normalization():
     assert test_env.config.episode_length is None
     assert train_env.config.activity_scale is not None
     assert train_env.config.activity_scale == test_env.config.activity_scale
+
+
+def test_build_envs_peak_memory_is_one_trace():
+    cfg = load_config(Path(__file__).resolve().parent.parent / "bench" / "reference.yaml")
+    tracemalloc.start()
+    try:
+        train_env, test_env = build_envs(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full_bytes = cfg.trace.n_steps * cfg.trace.n_cells * 8
+    assert train_env.trace.steps.nbytes + test_env.trace.steps.nbytes == full_bytes
+    assert peak <= 1.15 * full_bytes
 
 
 def test_build_envs_test_env_always_starts_at_row_zero():
@@ -310,6 +326,9 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"ppo": {"max_grad_norm": "0.5"}}, id="max_grad_norm_str"),
     pytest.param({"trace": {"path": 5}}, id="trace_path_int"),
     pytest.param({"out_dir": 5}, id="out_dir_int"),
+    pytest.param({"energy": {"cpu_watts": math.nan}}, id="cpu_watts_nan"),
+    pytest.param({"failure": {"mttf_vnf": math.nan}}, id="mttf_vnf_nan"),
+    pytest.param({"env": {"activity_scale": math.nan}}, id="activity_scale_nan"),
     *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
       for section, key, value in REMOVED_KEYS],
 ])
@@ -345,6 +364,7 @@ def test_cli_malformed_yaml_exit_one(tmp_path, capsys):
     ({"trace": {"source": 1}}, "[trace] section: source must be a str, got 1"),
     ({"cluster": {"model_path": False}}, "model_path must be a str, got False"),
     ({"out_dir": 5}, "out_dir must be a str, got 5"),
+    ({"energy": {"cpu_watts": math.nan}}, "[energy] section: cpu_watts must not be NaN"),
 ])
 def test_wrong_typed_field_names_its_type(data, message):
     with pytest.raises(ConfigError) as exc:

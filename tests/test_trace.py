@@ -1,15 +1,17 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sfcsim import trace as trace_mod
 from sfcsim.trace import (DiurnalProfile, SteppedTrace, TraceFormatError,
                           generate_synthetic_trace, load_cdr_trace,
                           read_trace_csv, split_train_test, write_trace_csv)
 
-from helpers import cdr_trace_oracle
+from helpers import cdr_trace_oracle, synthetic_trace_oracle
 
 T0 = 1383260400000  # 2013-11-01 00:00 at UTC+1, on the 300-s and 600-s step grids
 
@@ -257,6 +259,13 @@ def test_split_concatenation_reproduces_original():
         trace.origin_time_ms + split.train.n_steps * trace.step_duration * 1000)
 
 
+def test_split_halves_are_row_views():
+    trace = generate_synthetic_trace(3, 20, seed=4)
+    split = split_train_test(trace, 0.5)
+    assert np.shares_memory(split.train.steps, trace.steps)
+    assert np.shares_memory(split.test.steps, trace.steps)
+
+
 # ------------------------------------------------------------------ synthetic
 
 def test_synthetic_is_bitwise_reproducible():
@@ -278,6 +287,47 @@ def test_synthetic_calibrates_mean_step_total():
     trace = generate_synthetic_trace(276, 8928, seed=1)
     assert trace.step_totals().mean() == pytest.approx(400.0, rel=1e-9)
     assert np.all(trace.steps >= 0)
+
+
+BLOCK_ROWS = trace_mod._NOISE_BLOCK_FLOATS // 256  # noise rows per block at 256 cells
+
+
+@pytest.mark.parametrize("n_cells,n_steps,profile,seed", [
+    pytest.param(256, BLOCK_ROWS - 1, None, 3, id="below_one_block"),
+    pytest.param(256, BLOCK_ROWS, None, 4, id="one_block"),
+    pytest.param(256, BLOCK_ROWS + 1, None, 5, id="one_past_a_block"),
+    pytest.param(trace_mod._NOISE_BLOCK_FLOATS + 3, 3, None, 6, id="row_per_block"),
+    pytest.param(7, 1, None, 7, id="single_row"),
+    pytest.param(40, 500, DiurnalProfile(noise=0.0), 8, id="noise_0"),
+    pytest.param(40, 500, DiurnalProfile(amplitude=1.5), 9, id="diurnal_clipped"),
+    pytest.param(40, 500, DiurnalProfile(amplitude=1.5, noise=0.0), 9,
+                 id="diurnal_clipped_noise_0"),
+    pytest.param(276, 8928, None, 10, id="reference"),
+])
+def test_synthetic_matches_one_shot_oracle(n_cells, n_steps, profile, seed):
+    trace = generate_synthetic_trace(n_cells, n_steps, seed, profile)
+    oracle = synthetic_trace_oracle(n_cells, n_steps, seed, profile)
+    assert trace.steps.tobytes() == oracle.steps.tobytes()
+    assert trace.steps.shape == oracle.steps.shape == (n_steps, n_cells)
+    assert (trace.cell_ids, trace.step_duration, trace.origin_time_ms) == (
+        oracle.cell_ids, oracle.step_duration, oracle.origin_time_ms)
+
+
+def test_synthetic_clips_the_diurnal_factor_at_zero():
+    # amplitude > 1 takes the sinusoid below zero for part of each day
+    trace = generate_synthetic_trace(40, 500, 9, DiurnalProfile(amplitude=1.5, noise=0.0))
+    silent = (trace.steps == 0).all(axis=1)
+    assert silent.any() and not silent.all()
+
+
+def test_synthetic_peak_memory_is_one_trace():
+    tracemalloc.start()
+    try:
+        trace = generate_synthetic_trace(276, 8928, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * trace.steps.nbytes
 
 
 def test_synthetic_rejects_empty_dimensions():
