@@ -244,8 +244,6 @@ def synthetic_trace_oracle(n_cells: int, n_steps: int, seed: int,
                            origin_time_ms: int = DEFAULT_ORIGIN_MS) -> SteppedTrace:
     """``generate_synthetic_trace`` in one shot: an ``np.outer`` base, one
     ``(n_steps, n_cells)`` noise draw, and a new array for each stage."""
-    if n_cells < 1 or n_steps < 1:
-        raise ValueError("n_cells and n_steps must be >= 1")
     profile = profile or DiurnalProfile()
     rng = np.random.default_rng(seed)
     scales = np.exp(rng.normal(0.0, profile.cell_scale_spread / 2, size=n_cells))
