@@ -42,6 +42,8 @@ class TraceConfig:
             raise ValueError("n_cells, n_steps and step_duration must be >= 1")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must be in (0, 1)")
+        if min(self.noise, self.mean_step_total) < 0:
+            raise ValueError("noise and mean_step_total must be >= 0")
 
 
 @dataclass
@@ -125,6 +127,10 @@ _FIELD_TYPES = {
     bool: ("a bool", bool), str: ("a str", str), str | None: ("a str", (str, _NONE)),
 }
 
+# inf is a limit, not a typo, only where it means "never": a failure mean of
+# inf never fails (or is never repaired), a max_grad_norm of inf never clips.
+_INF_OK = {("failure", f.name) for f in fields(FailureModel)} | {("ppo", "max_grad_norm")}
+
 
 def _build_section(cls, data: dict, section: str):
     known = {f.name: f for f in fields(cls)}
@@ -139,6 +145,8 @@ def _build_section(cls, data: dict, section: str):
                               f"got {value!r}")
         if isinstance(value, float) and math.isnan(value):  # passes every `x <= 0` check
             raise ConfigError(f"invalid [{section}] section: {name} must not be NaN")
+        if isinstance(value, float) and math.isinf(value) and (section, name) not in _INF_OK:
+            raise ConfigError(f"invalid [{section}] section: {name} must be finite")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

@@ -7,7 +7,6 @@ so rerunning a command with the same config produces byte-identical files.
 
 import dataclasses
 import logging
-import math
 import time
 from pathlib import Path
 
@@ -37,12 +36,10 @@ def build_trace(cfg: ExperimentConfig) -> trace_mod.SteppedTrace:
     """Load or generate the full stepped trace named by the config."""
     tc = cfg.trace
     if tc.source == "synthetic":
-        profile = trace_mod.DiurnalProfile(
-            amplitude=tc.amplitude, noise=tc.noise,
-            mean_step_total=tc.mean_step_total)
         return trace_mod.generate_synthetic_trace(
             tc.n_cells, tc.n_steps, derive_seed(cfg.master_seed, "trace"),
-            profile, tc.step_duration, tc.origin_time_ms)
+            tc.amplitude, tc.noise, tc.mean_step_total, tc.step_duration,
+            tc.origin_time_ms)
     if tc.source not in ("csv", "cdr"):
         raise ConfigError(f"unknown trace.source {tc.source!r}")
     if not tc.path:
@@ -86,20 +83,18 @@ def build_envs(cfg: ExperimentConfig) -> tuple[SfcEnv, SfcEnv]:
     enabled, is anchored to the train split's maximum activity for both.
     """
     full = select_managed_cells(cfg, build_trace(cfg))
-    n_train = math.floor(cfg.trace.split_fraction * full.n_steps)  # as the split does
-    if not 0 < n_train < full.n_steps:
-        raise ConfigError(
-            f"trace.split_fraction ({cfg.trace.split_fraction}) splits the trace's "
-            f"{full.n_steps} rows into {n_train} train and {full.n_steps - n_train} "
-            f"test rows; both splits must be non-empty")
-    split = trace_mod.split_train_test(full, cfg.trace.split_fraction)
+    fraction = cfg.trace.split_fraction
+    try:
+        train, test = trace_mod.split_train_test(full, fraction)
+    except ValueError as exc:
+        raise ConfigError(f"trace.split_fraction ({fraction}) {exc}") from exc
     env_cfg = cfg.env
     if env_cfg.normalize_obs and env_cfg.activity_scale is None:
-        scale = float(split.train.steps.max())
+        scale = float(train.steps.max())
         env_cfg = dataclasses.replace(env_cfg, activity_scale=scale or 1.0)
-    train_env = SfcEnv(split.train, cfg.topology, cfg.failure, cfg.energy, env_cfg)
+    train_env = SfcEnv(train, cfg.topology, cfg.failure, cfg.energy, env_cfg)
     test_cfg = dataclasses.replace(env_cfg, episode_length=None)
-    test_env = SfcEnv(split.test, cfg.topology, cfg.failure, cfg.energy, test_cfg)
+    test_env = SfcEnv(test, cfg.topology, cfg.failure, cfg.energy, test_cfg)
     return train_env, test_env
 
 

@@ -35,12 +35,6 @@ def clipped_zscore(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarr
     return np.minimum(z, 10.0, out=z)
 
 
-def _log_softmax_np(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return np.subtract(shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True)),
-                       out=out)
-
-
 class PolicyNetwork:
     """Parameter container plus forward passes: numpy for acting and learning,
     Tensor for the autodiff reference that the learner's gradient is checked
@@ -71,8 +65,8 @@ class PolicyNetwork:
         for i, size in enumerate(self.head_sizes):
             self.params[f"wh{i}"] = orthogonal(rng, h2, size, 0.01)
             self.params[f"bh{i}"] = np.zeros(size)
-        # sample()'s constants: parameter names, and index arrays with one row
-        # per head and its last category
+        # log_probs() and sample()'s constants: parameter names, and index
+        # arrays with one row per head and its last category
         self._head_keys = [(f"wh{i}", f"bh{i}") for i in range(len(self.head_sizes))]
         self._head_rows = np.arange(len(self.head_sizes))[:, None]
         self._head_last = np.array(self.head_sizes)[:, None] - 1
@@ -97,20 +91,12 @@ class PolicyNetwork:
         values = (trunk @ p["wv"] + p["bv"])[:, 0]
         return logits, values
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sample one action per row of a (batch, obs_dim) float64 array;
-        returns (components, joint_logp, values)."""
+    def log_probs(self, trunk: np.ndarray) -> np.ndarray:
+        """Each head's log-softmax of a trunk's logits, in one (head, row,
+        category) array padded with -inf. The row max, the shift and exp run
+        once over it; each head's log-sum-exp sums its own block."""
         p = self.params
-        _, trunk = self._trunk_np(obs)
-        batch = trunk.shape[0]
-        # Heads side by side, (head, row, category), padded with -inf: the
-        # padding's probability is 0, so each row's cumulative sum ends on
-        # its last category and inverse-CDF sampling cannot land on it. The
-        # row max, the shift and exp are elementwise or order-free, so they
-        # run once over the padded array; each head's log-sum-exp sums its
-        # own block, as the one-head log-softmax does.
-        logp = np.full((len(self.head_sizes), batch, max(self.head_sizes)), -np.inf)
+        logp = np.full((len(self.head_sizes), trunk.shape[0], max(self.head_sizes)), -np.inf)
         blocks = [logp[i, :, :size] for i, size in enumerate(self.head_sizes)]
         for block, (w, b) in zip(blocks, self._head_keys):
             np.add(trunk @ p[w], p[b], out=block)
@@ -118,6 +104,18 @@ class PolicyNetwork:
         shifted_exp = np.exp(logp)
         for i, block in enumerate(blocks):
             block -= np.log(shifted_exp[i, :, :block.shape[1]].sum(axis=1, keepdims=True))
+        return logp
+
+    def sample(self, obs: np.ndarray, rng: np.random.Generator
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample one action per row of a (batch, obs_dim) float64 array;
+        returns (components, joint_logp, values)."""
+        p = self.params
+        _, trunk = self._trunk_np(obs)
+        batch = trunk.shape[0]
+        # the padding's probability is 0, so each row's cumulative sum ends
+        # on its last category and inverse-CDF sampling cannot land on it
+        logp = self.log_probs(trunk)
         values = (trunk @ p["wv"] + p["bv"])[:, 0]
         cdf = np.cumsum(np.exp(logp), axis=2)
         # one draw for all heads: the same stream as one rng.random(batch) per head

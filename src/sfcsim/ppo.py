@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import PolicyNetwork, _log_softmax_np, clipped_zscore
+from .policy import PolicyNetwork, clipped_zscore
 from .seeding import derive_seed, entity_rng
 
 logger = logging.getLogger(__name__)
@@ -177,12 +177,11 @@ def ppo_loss(policy: PolicyNetwork, batch: dict, config: PpoConfig
     h, trunk = policy._trunk_np(x)
 
     # ---- forward
-    log_probs, probs = [], []
+    logp = policy.log_probs(trunk)
+    log_probs = [logp[i, :, :size] for i, size in enumerate(policy.head_sizes)]
+    probs = [np.exp(lp) for lp in log_probs]
     new_logp = None
-    for i, idx in enumerate(taken_idx):
-        lp = _log_softmax_np(trunk @ p[f"wh{i}"] + p[f"bh{i}"])
-        log_probs.append(lp)
-        probs.append(np.exp(lp))
+    for lp, idx in zip(log_probs, taken_idx):
         taken = lp[rows, idx]
         new_logp = taken if new_logp is None else new_logp + taken
     values = (trunk @ p["wv"] + p["bv"]).sum(axis=1)

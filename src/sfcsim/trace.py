@@ -27,6 +27,7 @@ DEFAULT_ORIGIN_MS = 1_383_260_400_000
 CDR_COLUMNS = 8
 _CDR_INTERNET_COL = 7
 _NOISE_BLOCK_FLOATS = 1 << 16  # floats per row block of synthetic noise (512 KiB)
+PEAK_HOUR = 17.0  # local hour of the synthetic diurnal peak
 
 
 class TraceFormatError(ValueError):
@@ -84,32 +85,6 @@ class SteppedTrace:
         cols = [index[c] for c in cell_ids]
         return SteppedTrace(list(cell_ids), self.steps[:, cols],  # indexing copies
                             self.step_duration, self.origin_time_ms)
-
-
-@dataclass
-class TraceSplit:
-    """Chronological train/test split of a stepped trace."""
-
-    train: SteppedTrace
-    test: SteppedTrace
-    split_fraction: float
-
-
-@dataclass
-class DiurnalProfile:
-    """Shape parameters for the synthetic trace generator.
-
-    ``mean_step_total`` calibrates the average total activity per step over
-    all cells; ``amplitude`` scales the 24-hour sinusoid (0 gives constant
-    columns); ``noise`` is the relative level of nonnegative per-step noise.
-    """
-
-    amplitude: float = 0.6
-    noise: float = 0.15
-    mean_step_total: float = 400.0
-    peak_hour: float = 17.0
-    cell_scale_spread: float = 1.0  # per-cell scales drawn from lognormal(0, spread/2)
-    first_cell_id: int = 1
 
 
 def load_cdr_trace(path, step_duration: int,
@@ -174,59 +149,62 @@ def load_cdr_trace(path, step_duration: int,
     return SteppedTrace(cells, steps, step_duration, first * step_ms)
 
 
-def split_train_test(trace: SteppedTrace, fraction: float) -> TraceSplit:
+def split_train_test(trace: SteppedTrace, fraction: float
+                     ) -> tuple[SteppedTrace, SteppedTrace]:
     """Chronological split: first floor(fraction*rows) rows train, rest test.
 
-    Both halves hold row views of ``trace.steps``, not copies.
+    Returns (train, test); both hold row views of ``trace.steps``, not copies.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    if trace.n_steps < 2:
-        raise ValueError("need at least 2 rows to split")
-    n_train = math.floor(fraction * trace.n_steps)
+    n_steps = trace.n_steps
+    n_train = math.floor(fraction * n_steps)
+    if not 0 < n_train < n_steps:
+        raise ValueError(f"splits the trace's {n_steps} rows into {n_train} train and "
+                         f"{n_steps - n_train} test rows; both splits must be non-empty")
     train = SteppedTrace(list(trace.cell_ids), trace.steps[:n_train],
                          trace.step_duration, trace.origin_time_ms)
     test = SteppedTrace(list(trace.cell_ids), trace.steps[n_train:],
                         trace.step_duration,
                         trace.origin_time_ms + n_train * trace.step_duration * 1000)
-    return TraceSplit(train, test, fraction)
+    return train, test
 
 
 def generate_synthetic_trace(n_cells: int, n_steps: int, seed: int,
-                             profile: DiurnalProfile | None = None,
+                             amplitude: float = 0.6, noise: float = 0.15,
+                             mean_step_total: float = 400.0,
                              step_duration: int = DEFAULT_STEP_DURATION,
                              origin_time_ms: int = DEFAULT_ORIGIN_MS) -> SteppedTrace:
     """Deterministic synthetic trace: per-cell scale x diurnal sinusoid + noise.
 
-    The matrix is rescaled so the mean total activity per step equals
-    ``profile.mean_step_total`` exactly (when the raw signal is nonzero).
-    It is built in place: the noise is drawn and added in row blocks of
-    about 64 Ki floats, so the trace is the only trace-sized array.
+    Cells are numbered from 1 with lognormal(0, 0.5) scales. ``amplitude``
+    scales a 24-hour sinusoid peaking at ``PEAK_HOUR`` local time (0 gives
+    constant columns); ``noise`` is the relative level of nonnegative noise.
+    The matrix is rescaled so the mean total per step is ``mean_step_total``
+    (when the raw signal is nonzero). It is built in place, the noise drawn
+    and added in row blocks of about 64 Ki floats: one trace-sized array.
     """
     if n_cells < 1 or n_steps < 1:
         raise ValueError("n_cells and n_steps must be >= 1")
-    profile = profile or DiurnalProfile()
     rng = np.random.default_rng(seed)
-    scales = np.exp(rng.normal(0.0, profile.cell_scale_spread / 2, size=n_cells))
+    scales = np.exp(rng.normal(0.0, 0.5, size=n_cells))
     hours = (origin_time_ms / 3_600_000.0) + np.arange(n_steps) * (step_duration / 3600.0)
-    diurnal = 1.0 + profile.amplitude * np.sin(
-        2 * np.pi * (hours - profile.peak_hour + 6.0) / 24.0)
+    diurnal = 1.0 + amplitude * np.sin(2 * np.pi * (hours - PEAK_HOUR + 6.0) / 24.0)
     base = np.clip(diurnal, 0.0, None)[:, None] * scales  # np.outer, bit for bit
-    if profile.noise > 0:
+    if noise > 0:
         # Generator.normal fills its output in C order, so row blocks draw
         # the numbers of one (n_steps, n_cells) draw without holding it
         rows = max(1, _NOISE_BLOCK_FLOATS // n_cells)
         for start in range(0, n_steps, rows):
             block = base[start:start + rows]
-            noise = np.abs(rng.normal(0.0, profile.noise, size=block.shape))
-            noise *= scales
-            block += noise
+            draw = np.abs(rng.normal(0.0, noise, size=block.shape))
+            draw *= scales
+            block += draw
     np.clip(base, 0.0, None, out=base)
     mean_total = base.sum(axis=1).mean()
     if mean_total > 0:
-        base *= profile.mean_step_total / mean_total
-    cells = list(range(profile.first_cell_id, profile.first_cell_id + n_cells))
-    return SteppedTrace(cells, base, step_duration, origin_time_ms)
+        base *= mean_step_total / mean_total
+    return SteppedTrace(list(range(1, n_cells + 1)), base, step_duration, origin_time_ms)
 
 
 def write_trace_csv(trace: SteppedTrace, path, comments: list[str] | None = None) -> None:

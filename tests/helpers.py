@@ -27,11 +27,11 @@ import numpy as np
 from sfcsim.artifacts import write_csv
 from sfcsim.env import ActionTuple
 from sfcsim.policies import EvalResult
-from sfcsim.policy import PolicyNetwork, _log_softmax_np
+from sfcsim.policy import PolicyNetwork
 from sfcsim.seeding import derive_seed
 from sfcsim.simcore import N_VNF_TYPES, VNF_TYPES, SimEvent, vnf_fail_risk
 from sfcsim.trace import (CDR_COLUMNS, DEFAULT_ORIGIN_MS, DEFAULT_STEP_DURATION,
-                          DiurnalProfile, SteppedTrace, TraceFormatError)
+                          SteppedTrace, TraceFormatError)
 
 
 def instances(state):
@@ -86,6 +86,13 @@ def step_obs(env, action):
     next observation in a new vector, and the record's reward and ``done``."""
     record = env.step(action)
     return env.encode_observation(), record.reward, env.done, record
+
+
+def _log_softmax_np(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One head's log-softmax over the last axis, as an array of its own."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return np.subtract(shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True)),
+                       out=out)
 
 
 def head_log_probs(net: PolicyNetwork, obs: np.ndarray) -> list[np.ndarray]:
@@ -239,23 +246,22 @@ def cdr_trace_oracle(path, step_duration: int,
 
 
 def synthetic_trace_oracle(n_cells: int, n_steps: int, seed: int,
-                           profile: DiurnalProfile | None = None,
+                           amplitude: float = 0.6, noise: float = 0.15,
+                           mean_step_total: float = 400.0,
                            step_duration: int = DEFAULT_STEP_DURATION,
                            origin_time_ms: int = DEFAULT_ORIGIN_MS) -> SteppedTrace:
     """``generate_synthetic_trace`` in one shot: an ``np.outer`` base, one
-    ``(n_steps, n_cells)`` noise draw, and a new array for each stage."""
-    profile = profile or DiurnalProfile()
+    ``(n_steps, n_cells)`` noise draw, and a new array for each stage; a
+    17:00 peak, lognormal(0, 0.5) cell scales and cell ids from 1."""
     rng = np.random.default_rng(seed)
-    scales = np.exp(rng.normal(0.0, profile.cell_scale_spread / 2, size=n_cells))
+    scales = np.exp(rng.normal(0.0, 1.0 / 2, size=n_cells))
     hours = (origin_time_ms / 3_600_000.0) + np.arange(n_steps) * (step_duration / 3600.0)
-    diurnal = 1.0 + profile.amplitude * np.sin(
-        2 * np.pi * (hours - profile.peak_hour + 6.0) / 24.0)
+    diurnal = 1.0 + amplitude * np.sin(2 * np.pi * (hours - 17.0 + 6.0) / 24.0)
     base = np.outer(np.clip(diurnal, 0.0, None), scales)
-    if profile.noise > 0:
-        base = base + np.abs(rng.normal(0.0, profile.noise, size=base.shape)) * scales
+    if noise > 0:
+        base = base + np.abs(rng.normal(0.0, noise, size=base.shape)) * scales
     base = np.clip(base, 0.0, None)
     mean_total = base.sum(axis=1).mean()
     if mean_total > 0:
-        base *= profile.mean_step_total / mean_total
-    cells = list(range(profile.first_cell_id, profile.first_cell_id + n_cells))
-    return SteppedTrace(cells, base, step_duration, origin_time_ms)
+        base *= mean_step_total / mean_total
+    return SteppedTrace(list(range(1, n_cells + 1)), base, step_duration, origin_time_ms)

@@ -329,6 +329,11 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"energy": {"cpu_watts": math.nan}}, id="cpu_watts_nan"),
     pytest.param({"failure": {"mttf_vnf": math.nan}}, id="mttf_vnf_nan"),
     pytest.param({"env": {"activity_scale": math.nan}}, id="activity_scale_nan"),
+    pytest.param({"trace": {"noise": -0.1}}, id="noise_negative"),
+    pytest.param({"trace": {"mean_step_total": -5.0}}, id="mean_step_total_negative"),
+    pytest.param({"trace": {"mean_step_total": math.inf}}, id="mean_step_total_inf"),
+    pytest.param({"energy": {"cpu_watts": math.inf}}, id="cpu_watts_inf"),
+    pytest.param({"cluster": {"utc_offset_hours": math.inf}}, id="utc_offset_hours_inf"),
     *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
       for section, key, value in REMOVED_KEYS],
 ])
@@ -370,6 +375,15 @@ def test_wrong_typed_field_names_its_type(data, message):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(data)
     assert message in str(exc.value)
+
+
+def test_inf_loads_where_it_means_never():
+    # a failure mean of inf never fires; a max_grad_norm of inf never clips
+    cfg = config_from_dict({"failure": {"mttf_vnf": math.inf},
+                            "ppo": {"max_grad_norm": math.inf}})
+    assert cfg.failure.mttf_vnf == cfg.ppo.max_grad_norm == math.inf
+    with pytest.raises(ConfigError, match=r"\[env\] section: w_e must be finite"):
+        config_from_dict({"env": {"w_e": -math.inf}})
 
 
 def test_typed_fields_keep_their_values():

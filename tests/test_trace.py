@@ -1,3 +1,4 @@
+import inspect
 import logging
 import re
 import tracemalloc
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfcsim import trace as trace_mod
-from sfcsim.trace import (DiurnalProfile, SteppedTrace, TraceFormatError,
+from sfcsim.config import TraceConfig
+from sfcsim.trace import (SteppedTrace, TraceFormatError,
                           generate_synthetic_trace, load_cdr_trace,
                           read_trace_csv, split_train_test, write_trace_csv)
 
@@ -232,16 +234,16 @@ def test_stepped_trace_accepts_zero_and_empty_matrices():
 
 def test_split_matches_reference_counts():
     trace = SteppedTrace([1], np.zeros((8928, 1)))
-    split = split_train_test(trace, 0.9)
-    assert split.train.n_steps == 8035
-    assert split.test.n_steps == 893
+    train, test = split_train_test(trace, 0.9)
+    assert train.n_steps == 8035
+    assert test.n_steps == 893
 
 
 @pytest.mark.parametrize("rows,fraction,expect", [(10, 0.5, (5, 5)), (2, 0.9, (1, 1))])
 def test_split_floor_semantics(rows, fraction, expect):
     trace = SteppedTrace([1], np.arange(rows, dtype=float)[:, None])
-    split = split_train_test(trace, fraction)
-    assert (split.train.n_steps, split.test.n_steps) == expect
+    train, test = split_train_test(trace, fraction)
+    assert (train.n_steps, test.n_steps) == expect
 
 
 def test_split_rejects_tiny_traces():
@@ -249,21 +251,31 @@ def test_split_rejects_tiny_traces():
         split_train_test(SteppedTrace([1], np.zeros((1, 1))), 0.9)
 
 
+@pytest.mark.parametrize("rows,fraction,n_train", [
+    (1, 0.9, 0), (5, 0.1, 0), (9, 0.1, 0), (0, 0.5, 0)])
+def test_split_rejects_an_empty_half(rows, fraction, n_train):
+    trace = SteppedTrace([1], np.zeros((rows, 1)))
+    message = (f"splits the trace's {rows} rows into {n_train} train and "
+               f"{rows - n_train} test rows; both splits must be non-empty")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        split_train_test(trace, fraction)
+
+
 def test_split_concatenation_reproduces_original():
     rng = np.random.default_rng(5)
     trace = SteppedTrace([1, 2], rng.uniform(0, 9, size=(37, 2)))
-    split = split_train_test(trace, 0.73)
-    rebuilt = np.vstack([split.train.steps, split.test.steps])
+    train, test = split_train_test(trace, 0.73)
+    rebuilt = np.vstack([train.steps, test.steps])
     assert np.array_equal(rebuilt, trace.steps)
-    assert split.test.origin_time_ms == (
-        trace.origin_time_ms + split.train.n_steps * trace.step_duration * 1000)
+    assert test.origin_time_ms == (
+        trace.origin_time_ms + train.n_steps * trace.step_duration * 1000)
 
 
 def test_split_halves_are_row_views():
     trace = generate_synthetic_trace(3, 20, seed=4)
-    split = split_train_test(trace, 0.5)
-    assert np.shares_memory(split.train.steps, trace.steps)
-    assert np.shares_memory(split.test.steps, trace.steps)
+    train, test = split_train_test(trace, 0.5)
+    assert np.shares_memory(train.steps, trace.steps)
+    assert np.shares_memory(test.steps, trace.steps)
 
 
 # ------------------------------------------------------------------ synthetic
@@ -276,11 +288,17 @@ def test_synthetic_is_bitwise_reproducible():
 
 
 def test_synthetic_zero_amplitude_gives_constant_columns():
-    profile = DiurnalProfile(amplitude=0.0, noise=0.0)
-    trace = generate_synthetic_trace(5, 100, seed=9, profile=profile)
+    trace = generate_synthetic_trace(5, 100, seed=9, amplitude=0.0, noise=0.0)
     assert np.allclose(trace.steps, trace.steps[0])
     # distinct per-cell base levels
     assert len(np.unique(np.round(trace.steps[0], 9))) > 1
+
+
+def test_synthetic_defaults_match_trace_config():
+    params = inspect.signature(generate_synthetic_trace).parameters
+    for name in ("amplitude", "noise", "mean_step_total", "step_duration",
+                 "origin_time_ms"):
+        assert params[name].default == getattr(TraceConfig(), name), name
 
 
 def test_synthetic_calibrates_mean_step_total():
@@ -293,20 +311,20 @@ BLOCK_ROWS = trace_mod._NOISE_BLOCK_FLOATS // 256  # noise rows per block at 256
 
 
 @pytest.mark.parametrize("n_cells,n_steps,profile,seed", [
-    pytest.param(256, BLOCK_ROWS - 1, None, 3, id="below_one_block"),
-    pytest.param(256, BLOCK_ROWS, None, 4, id="one_block"),
-    pytest.param(256, BLOCK_ROWS + 1, None, 5, id="one_past_a_block"),
-    pytest.param(trace_mod._NOISE_BLOCK_FLOATS + 3, 3, None, 6, id="row_per_block"),
-    pytest.param(7, 1, None, 7, id="single_row"),
-    pytest.param(40, 500, DiurnalProfile(noise=0.0), 8, id="noise_0"),
-    pytest.param(40, 500, DiurnalProfile(amplitude=1.5), 9, id="diurnal_clipped"),
-    pytest.param(40, 500, DiurnalProfile(amplitude=1.5, noise=0.0), 9,
+    pytest.param(256, BLOCK_ROWS - 1, {}, 3, id="below_one_block"),
+    pytest.param(256, BLOCK_ROWS, {}, 4, id="one_block"),
+    pytest.param(256, BLOCK_ROWS + 1, {}, 5, id="one_past_a_block"),
+    pytest.param(trace_mod._NOISE_BLOCK_FLOATS + 3, 3, {}, 6, id="row_per_block"),
+    pytest.param(7, 1, {}, 7, id="single_row"),
+    pytest.param(40, 500, {"noise": 0.0}, 8, id="noise_0"),
+    pytest.param(40, 500, {"amplitude": 1.5}, 9, id="diurnal_clipped"),
+    pytest.param(40, 500, {"amplitude": 1.5, "noise": 0.0}, 9,
                  id="diurnal_clipped_noise_0"),
-    pytest.param(276, 8928, None, 10, id="reference"),
+    pytest.param(276, 8928, {}, 10, id="reference"),
 ])
 def test_synthetic_matches_one_shot_oracle(n_cells, n_steps, profile, seed):
-    trace = generate_synthetic_trace(n_cells, n_steps, seed, profile)
-    oracle = synthetic_trace_oracle(n_cells, n_steps, seed, profile)
+    trace = generate_synthetic_trace(n_cells, n_steps, seed, **profile)
+    oracle = synthetic_trace_oracle(n_cells, n_steps, seed, **profile)
     assert trace.steps.tobytes() == oracle.steps.tobytes()
     assert trace.steps.shape == oracle.steps.shape == (n_steps, n_cells)
     assert (trace.cell_ids, trace.step_duration, trace.origin_time_ms) == (
@@ -315,7 +333,7 @@ def test_synthetic_matches_one_shot_oracle(n_cells, n_steps, profile, seed):
 
 def test_synthetic_clips_the_diurnal_factor_at_zero():
     # amplitude > 1 takes the sinusoid below zero for part of each day
-    trace = generate_synthetic_trace(40, 500, 9, DiurnalProfile(amplitude=1.5, noise=0.0))
+    trace = generate_synthetic_trace(40, 500, 9, amplitude=1.5, noise=0.0)
     silent = (trace.steps == 0).all(axis=1)
     assert silent.any() and not silent.all()
 
