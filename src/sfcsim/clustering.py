@@ -21,6 +21,7 @@ PERIOD_NAMES = ("late_night", "early_morning", "morning",
 N_PERIODS = 6
 _PERIOD_HOURS = 4
 SECONDS_PER_DAY = 86_400
+MAX_ITER, TOL = 300, 1e-6  # Lloyd's stopping rule in every fit
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,6 @@ def _lloyd(points: np.ndarray, inits: np.ndarray, max_iter: int,
 
 
 def kmeans_fit(profiles: list[PeriodProfile], k: int, seed: int,
-               max_iter: int = 300, tol: float = 1e-6,
                n_restarts: int = 10) -> ClusterModel:
     """Best-of-n-restarts K-means over period profiles; deterministic per seed.
 
@@ -217,7 +217,7 @@ def kmeans_fit(profiles: list[PeriodProfile], k: int, seed: int,
     points = np.stack([p.features for p in profiles])
     rngs = [entity_rng(seed, 10, k, restart) for restart in range(n_restarts)]
     centroids, labels, sse = _lloyd(points, _kmeans_pp_init(points, k, rngs),
-                                    max_iter, tol)
+                                    MAX_ITER, TOL)
     best = int(np.argmin(sse))
     assignments = dict(zip([p.cell_id for p in profiles], labels[best].tolist()))
     return ClusterModel(k, centroids[best], assignments, sse[best], seed)
@@ -244,7 +244,7 @@ def elbow_scan(profiles: list[PeriodProfile], k_range: tuple[int, int],
             d2 = _sq_dist(points, prev_centroids)
             worst = np.argmax(d2.min(axis=1))
             warm = np.vstack([prev_centroids, points[worst]])
-            centroids, _, sse = _lloyd(points, warm[None], 300, 1e-6)
+            centroids, _, sse = _lloyd(points, warm[None], MAX_ITER, TOL)
             if sse[0] < best[1]:
                 best = (centroids[0], sse[0])
         results.append((k, best[1]))

@@ -61,6 +61,12 @@ class ClusterConfig:
             raise ValueError("k, k_min and k_max must be >= 1")
         if self.k_min > self.k_max:
             raise ValueError("k_min must be <= k_max")
+        if not -12.0 <= self.utc_offset_hours <= 14.0:  # the real UTC offsets
+            raise ValueError("utc_offset_hours must be in [-12, 14]")
+        if (self.model_path is None) != (self.select_index is None):
+            raise ValueError("model_path and select_index must be set together")
+        if self.select_index is not None and self.select_index < 0:
+            raise ValueError("select_index must be >= 0")
 
 
 @dataclass

@@ -61,10 +61,14 @@ def select_managed_cells(cfg: ExperimentConfig,
     """Restrict the trace to the managed cell set (explicit list or cluster)."""
     if cfg.cells is not None:
         cells, source = sorted(cfg.cells), "cells"
-    elif cfg.cluster.model_path and cfg.cluster.select_index is not None:
-        model = clustering.ClusterModel.load(cfg.cluster.model_path)
-        cells = clustering.select_cells(model, cfg.cluster.select_index)
+    elif cfg.cluster.model_path is not None:  # select_index is set with it
         source = f"cluster {cfg.cluster.select_index} in {cfg.cluster.model_path}"
+        # A model that cannot be read, or has no such cluster, is a fault of the input.
+        try:
+            model = clustering.ClusterModel.load(cfg.cluster.model_path)
+            cells = clustering.select_cells(model, cfg.cluster.select_index)
+        except (ValueError, OSError, KeyError) as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
         if not cells:
             raise ConfigError(f"{source} is empty")
     else:

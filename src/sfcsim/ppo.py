@@ -29,7 +29,7 @@ class PpoConfig:
     epochs: int = 4
     entropy_coef: float = 0.01
     value_coef: float = 0.5
-    max_grad_norm: float | None = 0.5  # None: no clipping
+    max_grad_norm: float = 0.5  # inf: no clipping
     total_steps: int = 100_000
     seed: int = 0
     n_envs: int = 8
@@ -53,8 +53,8 @@ class PpoConfig:
             raise ValueError("total_steps must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.max_grad_norm is not None and self.max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be None or > 0")
+        if not (isinstance(self.max_grad_norm, (int, float)) and self.max_grad_norm > 0):
+            raise ValueError("max_grad_norm must be a number > 0 (inf: no clipping)")
         if min(self.entropy_coef, self.value_coef) < 0:
             raise ValueError("entropy_coef and value_coef must be >= 0")
 
@@ -89,11 +89,10 @@ class ReturnNormalizer:
     """Running scale estimate of the discounted return, per the usual
     normalize-reward vec wrapper: rewards are divided by the return std."""
 
-    def __init__(self, n_envs: int, gamma: float, clip: float = 10.0,
-                 eps: float = 1e-8):
+    CLIP, EPS = 10.0, 1e-8
+
+    def __init__(self, n_envs: int, gamma: float):
         self.gamma = gamma
-        self.clip = clip
-        self.eps = eps
         self.returns = np.zeros(n_envs)
         self.count = 0
         self.mean = 0.0
@@ -112,42 +111,31 @@ class ReturnNormalizer:
         self.returns = self.returns * self.gamma + rewards
         self._push(self.returns)
         var = self.m2 / self.count if self.count > 1 else 1.0
-        scaled = rewards / np.sqrt(var + self.eps)
+        scaled = rewards / np.sqrt(var + self.EPS)
         self.returns[dones > 0] = 0.0
-        return np.clip(scaled, -self.clip, self.clip)
+        return np.clip(scaled, -self.CLIP, self.CLIP)
 
 
-def compute_gae(rewards, values, dones, gamma: float, lam: float,
-                bootstrap_value=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation over (T,) or (T, n_envs) arrays.
+def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
+                gamma: float, lam: float, bootstrap: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized advantage estimation over (T, n_envs) float64 arrays, with
+    ``bootstrap`` the (n_envs,) values of the states after the last step.
 
     delta_t = r_t + gamma * V_{t+1} * (1 - done_t) - V_t
     A_t     = delta_t + gamma * lam * (1 - done_t) * A_{t+1}
     returns = advantages + values
     """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    dones = np.asarray(dones, dtype=np.float64)
-    squeeze = rewards.ndim == 1
-    if squeeze:
-        rewards, values, dones = rewards[:, None], values[:, None], dones[:, None]
-        bootstrap = np.array([bootstrap_value], dtype=np.float64)
-    else:
-        bootstrap = np.asarray(bootstrap_value, dtype=np.float64)
-    T = rewards.shape[0]
     advantages = np.zeros_like(rewards)
     last = np.zeros(rewards.shape[1])
     next_value = bootstrap
-    for t in range(T - 1, -1, -1):
+    for t in range(rewards.shape[0] - 1, -1, -1):
         nonterminal = 1.0 - dones[t]
         delta = rewards[t] + gamma * next_value * nonterminal - values[t]
         last = delta + gamma * lam * nonterminal * last
         advantages[t] = last
         next_value = values[t]
-    returns = advantages + values
-    if squeeze:
-        return advantages[:, 0], returns[:, 0]
-    return advantages, returns
+    return advantages, advantages + values
 
 
 def ppo_loss(policy: PolicyNetwork, batch: dict, config: PpoConfig
@@ -271,14 +259,14 @@ def ppo_loss(policy: PolicyNetwork, batch: dict, config: PpoConfig
 
 
 class Adam:
-    """Adam with bias correction and global gradient-norm clipping."""
+    """Adam with bias correction and global gradient-norm clipping; a
+    ``max_grad_norm`` of inf never clips."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-5
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-5,
-                 max_grad_norm: float | None = 0.5):
+                 max_grad_norm: float = 0.5):
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.max_grad_norm = max_grad_norm
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -286,27 +274,26 @@ class Adam:
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray]) -> None:
-        if self.max_grad_norm is not None:
-            total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
-            if total > self.max_grad_norm:
-                scale = self.max_grad_norm / (total + 1e-12)
-                grads = {k: g * scale for k, g in grads.items()}
+        total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+        if total > self.max_grad_norm:
+            scale = self.max_grad_norm / (total + 1e-12)
+            grads = {k: g * scale for k, g in grads.items()}
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         # In place, each operation of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2
         # and p -= lr * m_hat / (sqrt(v_hat) + eps) in the same order (same bits)
         for k, g in grads.items():
             m, v = self.m[k], self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g ** 2
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g ** 2
             update = m / bc1
             update *= self.lr
             denom = v / bc2
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += self.EPS
             update /= denom
             params[k] -= update
 
@@ -388,11 +375,9 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
             buf_actions[t] = components
             buf_logp[t] = joint_logp
             buf_values[t] = values
-            rewards_t, dones_t = [], []
             for i, (env, comps, row) in enumerate(zip(envs, components.tolist(), rows)):
                 reward, sfc, packets, done = env.step_into(comps, row)
-                rewards_t.append(reward)
-                dones_t.append(float(done))
+                buf_rewards[t, i], buf_dones[t, i] = reward, done
                 if log_env0 and i == 0:
                     log.env0_steps.append({
                         "step": global_step + t,
@@ -406,8 +391,6 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
                     episode_counters[i] += 1
                     row[:] = env.reset(
                         derive_seed(config.seed, f"env{i}", episode_counters[i]))
-            buf_rewards[t] = rewards_t
-            buf_dones[t] = dones_t
             if normalizer is not None:
                 buf_rewards[t] = normalizer.scale(buf_rewards[t], buf_dones[t])
         global_step += T * n
@@ -435,18 +418,9 @@ def train(env_factory, config: PpoConfig, policy: PolicyNetwork | None = None,
             order = perm_rng.permutation(batch_size)
             for start in range(0, batch_size, mb_size):
                 idx = order[start:start + mb_size]
-                if len(idx) == 0:
-                    continue
-                adv = flat["advantages"][idx]
-                adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-                minibatch = {
-                    "obs": flat["obs"][idx],
-                    "actions": flat["actions"][idx],
-                    "old_logp": flat["old_logp"][idx],
-                    "old_values": flat["old_values"][idx],
-                    "advantages": adv,
-                    "returns": flat["returns"][idx],
-                }
+                minibatch = {k: v[idx] for k, v in flat.items()}
+                adv = minibatch["advantages"]
+                minibatch["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
                 _, grads, diag = ppo_loss(policy, minibatch, config)
                 adam.step(policy.params, grads)
                 for k, v in diag.items():

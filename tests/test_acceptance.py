@@ -156,7 +156,8 @@ def test_criterion_4_gae_and_gradients():
         d = (rng.random(T) < 0.2).astype(float)
         gamma, lam = rng.uniform(0.8, 1.0), rng.uniform(0.0, 1.0)
         boot = float(rng.normal())
-        adv, _ = compute_gae(r, v, d, gamma, lam, boot)
+        adv, _ = compute_gae(r[:, None], v[:, None], d[:, None], gamma, lam,
+                             np.array([boot]))
         oracle = np.zeros(T)
         last, next_v = 0.0, boot
         for t in range(T - 1, -1, -1):
@@ -165,7 +166,7 @@ def test_criterion_4_gae_and_gradients():
             last = delta + gamma * lam * nonterminal * last
             oracle[t] = last
             next_v = v[t]
-        gae_exact = gae_exact and np.array_equal(adv, oracle)
+        gae_exact = gae_exact and np.array_equal(adv[:, 0], oracle)
 
     # analytic gradients vs central differences on a toy policy
     net = PolicyNetwork(3, (2, 2, 1, 1), hidden=(4, 3), seed=42)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from sfcsim import config, harness
+from sfcsim import clustering, config, harness
 from sfcsim.cli import main as cli_main
 from sfcsim.config import (ConfigError, ExperimentConfig, config_from_dict,
                            config_hash, config_to_dict, load_config,
@@ -334,6 +334,14 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"trace": {"mean_step_total": math.inf}}, id="mean_step_total_inf"),
     pytest.param({"energy": {"cpu_watts": math.inf}}, id="cpu_watts_inf"),
     pytest.param({"cluster": {"utc_offset_hours": math.inf}}, id="utc_offset_hours_inf"),
+    pytest.param({"cluster": {"utc_offset_hours": 1.0e+300}}, id="utc_offset_hours_1e300"),
+    pytest.param({"cluster": {"utc_offset_hours": 15}}, id="utc_offset_hours_15"),
+    pytest.param({"cluster": {"utc_offset_hours": -12.5}}, id="utc_offset_hours_-12.5"),
+    pytest.param({"cluster": {"select_index": 3}}, id="select_index_without_model_path"),
+    pytest.param({"cluster": {"model_path": "m.npz"}}, id="model_path_without_select_index"),
+    pytest.param({"cluster": {"model_path": "m.npz", "select_index": -1}},
+                 id="select_index_negative"),
+    pytest.param({"ppo": {"max_grad_norm": None}}, id="max_grad_norm_null"),
     *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
       for section, key, value in REMOVED_KEYS],
 ])
@@ -389,16 +397,47 @@ def test_inf_loads_where_it_means_never():
 def test_typed_fields_keep_their_values():
     # ints stand for floats and null for optional fields, and nothing is
     # converted, so the config hash sees the values as written
-    cfg = config_from_dict({"failure": {"mttf_vnf": 24}, "ppo": {"max_grad_norm": None},
-                            "env": {"normalize_obs": True, "activity_scale": 3}})
+    cfg = config_from_dict({"failure": {"mttf_vnf": 24},
+                            "env": {"normalize_obs": True, "activity_scale": 3,
+                                    "episode_length": None}})
     assert type(cfg.failure.mttf_vnf) is int and type(cfg.env.activity_scale) is int
-    assert cfg.ppo.max_grad_norm is None and cfg.env.normalize_obs is True
+    assert cfg.env.episode_length is None and cfg.env.normalize_obs is True
     for cls in config._SECTIONS.values():
         assert all(f.type in config._FIELD_TYPES for f in dataclasses.fields(cls))
 
 
-def test_null_max_grad_norm_is_valid():
-    assert config_from_dict({"ppo": {"max_grad_norm": None}}).ppo.max_grad_norm is None
+def test_null_max_grad_norm_is_rejected():
+    # inf is the one way to say "no clipping"
+    with pytest.raises(ConfigError, match="max_grad_norm must be a float, got None"):
+        config_from_dict({"ppo": {"max_grad_norm": None}})
+
+
+@pytest.mark.parametrize("offset", [-12, 14])
+def test_utc_offset_bounds_load(offset):
+    assert config_from_dict({"cluster": {"utc_offset_hours": offset}}
+                            ).cluster.utc_offset_hours == offset
+
+
+@pytest.mark.parametrize("model, select_index, message", [
+    pytest.param(False, 0, "No such file or directory", id="missing_model"),
+    pytest.param(True, 7, "cluster_index must be in [0, 3)", id="index_out_of_range"),
+])
+def test_cli_bad_cluster_selection_exit_one(tmp_path, capsys, model, select_index,
+                                            message):
+    # caught when the managed cells are selected, so the command must build envs
+    model_path = tmp_path / "cluster_model.npz"
+    if model:
+        clustering.ClusterModel(3, np.zeros((3, 6)), {c: c % 3 for c in range(1, 7)},
+                                0.0, 0).save(model_path)
+    cfg_path = tmp_path / "exp.yaml"
+    save_config(tiny_config(cluster={"model_path": str(model_path),
+                                     "select_index": select_index}), cfg_path)
+    code = cli_main(["eval", "--policy", "noop", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"config error: cluster {select_index} in {model_path}: " in err
+    assert message in err
 
 
 def test_cli_cluster_k_min_above_cell_count_exit_one(tmp_path, capsys):

@@ -25,20 +25,29 @@ def gae_oracle(rewards, values, dones, gamma, lam, bootstrap):
     return adv, adv + values
 
 
+def gae_1d(rewards, values, dones, gamma, lam, bootstrap):
+    """``compute_gae`` on one env: the sequences as (T, 1) columns."""
+    def column(x):
+        return np.asarray(x, dtype=np.float64)[:, None]
+    adv, ret = compute_gae(column(rewards), column(values), column(dones),
+                           gamma, lam, np.array([bootstrap], dtype=np.float64))
+    return adv[:, 0], ret[:, 0]
+
+
 # ----------------------------------------------------------------------- GAE
 
 def test_gae_lambda_zero_is_one_step_td():
     rng = np.random.default_rng(0)
     r, v = rng.normal(size=12), rng.normal(size=12)
     d = np.zeros(12)
-    adv, _ = compute_gae(r, v, d, 0.95, 0.0, 0.3)
+    adv, _ = gae_1d(r, v, d, 0.95, 0.0, 0.3)
     next_v = np.append(v[1:], 0.3)
     np.testing.assert_allclose(adv, r + 0.95 * next_v - v, atol=1e-12)
 
 
 def test_gae_undistorted_suffix_sums():
     r = np.array([1.0, 2.0, 3.0, 4.0])
-    adv, ret = compute_gae(r, np.zeros(4), np.zeros(4), 1.0, 1.0, 0.0)
+    adv, ret = gae_1d(r, np.zeros(4), np.zeros(4), 1.0, 1.0, 0.0)
     np.testing.assert_allclose(adv, [10.0, 9.0, 7.0, 4.0])
     np.testing.assert_allclose(ret, adv)
 
@@ -46,7 +55,7 @@ def test_gae_undistorted_suffix_sums():
 def test_gae_worked_example():
     # rewards [1,1], values [0.5,0.5], bootstrap 0, gamma .9, lambda .8:
     # A_1 = 1 - 0.5 = 0.5; A_0 = 1 + 0.45 - 0.5 + 0.72*0.5 = 1.31
-    adv, ret = compute_gae([1.0, 1.0], [0.5, 0.5], [0.0, 0.0], 0.9, 0.8, 0.0)
+    adv, ret = gae_1d([1.0, 1.0], [0.5, 0.5], [0.0, 0.0], 0.9, 0.8, 0.0)
     oracle_adv, oracle_ret = gae_oracle(
         np.array([1.0, 1.0]), np.array([0.5, 0.5]), np.zeros(2), 0.9, 0.8, 0.0)
     np.testing.assert_allclose(adv, [1.31, 0.5], atol=1e-12)
@@ -63,15 +72,32 @@ def test_gae_matches_oracle_exactly_on_random_sequences():
         d = (rng.random(T) < 0.25).astype(float)
         gamma, lam = rng.uniform(0.8, 1.0), rng.uniform(0.0, 1.0)
         boot = float(rng.normal())
-        adv, ret = compute_gae(r, v, d, gamma, lam, boot)
+        adv, ret = gae_1d(r, v, d, gamma, lam, boot)
         o_adv, o_ret = gae_oracle(r, v, d, gamma, lam, boot)
         assert np.array_equal(adv, o_adv)
         assert np.array_equal(ret, o_ret)
 
 
 def test_gae_done_masks_bootstrap():
-    adv, _ = compute_gae([1.0], [0.0], [1.0], 0.9, 0.9, 100.0)
+    adv, _ = gae_1d([1.0], [0.0], [1.0], 0.9, 0.9, 100.0)
     np.testing.assert_allclose(adv, [1.0])
+
+
+def test_gae_batch_matches_oracle_per_env():
+    # staggered dones: env 0 never ends, env 1 ends twice, env 2 at the last step
+    rng = np.random.default_rng(2)
+    T = 16
+    r, v = rng.normal(size=(T, 3)), rng.normal(size=(T, 3))
+    d = np.zeros((T, 3))
+    d[[4, 11], 1] = 1.0
+    d[T - 1, 2] = 1.0
+    boot = rng.normal(size=3)
+    adv, ret = compute_gae(r, v, d, 0.97, 0.9, boot)
+    assert adv.shape == ret.shape == (T, 3)
+    for i in range(3):
+        o_adv, o_ret = gae_oracle(r[:, i], v[:, i], d[:, i], 0.97, 0.9, boot[i])
+        assert adv[:, i].tobytes() == o_adv.tobytes()
+        assert ret[:, i].tobytes() == o_ret.tobytes()
 
 
 # ---------------------------------------------------------------------- loss
@@ -293,7 +319,7 @@ def test_return_normalizer_matches_numpy_scalar_welford():
 
 def test_adam_minimizes_quadratic():
     params = {"x": np.array([5.0, -3.0])}
-    opt = Adam(params, lr=0.1, max_grad_norm=None)
+    opt = Adam(params, lr=0.1, max_grad_norm=np.inf)
     for _ in range(500):
         opt.step(params, {"x": 2.0 * params["x"]})
     np.testing.assert_allclose(params["x"], 0.0, atol=1e-4)
@@ -307,6 +333,31 @@ def test_gradient_norm_clipping():
     # clipped gradient keeps the original direction
     assert params["x"][0] < 0.0
     assert np.array_equal(grads["x"], [100.0])  # caller's array untouched
+
+
+def test_adam_with_inf_norm_takes_the_unclipped_step():
+    rng = np.random.default_rng(3)
+    params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}
+    expected = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    s = {k: np.zeros_like(v) for k, v in params.items()}
+    opt = Adam(params, lr=0.01, max_grad_norm=np.inf)
+    for t in range(1, 4):
+        grads = {k: 1e3 * rng.normal(size=v.shape) for k, v in params.items()}
+        opt.step(params, grads)
+        for k, g in grads.items():  # textbook Adam, betas (0.9, 0.999), eps 1e-5
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            s[k] = 0.999 * s[k] + (1.0 - 0.999) * g ** 2
+            m_hat = m[k] / (1.0 - 0.9 ** t)
+            s_hat = s[k] / (1.0 - 0.999 ** t)
+            expected[k] = expected[k] - 0.01 * m_hat / (np.sqrt(s_hat) + 1e-5)
+        for k in params:
+            assert params[k].tobytes() == expected[k].tobytes()
+
+
+def test_max_grad_norm_none_is_rejected():
+    with pytest.raises(ValueError, match="max_grad_norm"):
+        PpoConfig(max_grad_norm=None)
 
 
 # --------------------------------------------------------------------- train
