@@ -9,9 +9,11 @@ of cluster count.
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import read_npz
 from .seeding import entity_rng
 
 logger = logging.getLogger(__name__)
@@ -22,23 +24,14 @@ N_PERIODS = 6
 _PERIOD_HOURS = 4
 SECONDS_PER_DAY = 86_400
 MAX_ITER, TOL = 300, 1e-6  # Lloyd's stopping rule in every fit
+N_RESTARTS = 10  # seeded k-means++ restarts per fit
 
 
-@dataclass(frozen=True)
-class PeriodProfile:
+class PeriodProfile(NamedTuple):
     """Per-cell mean activity in each day period, order fixed as PERIOD_NAMES."""
 
     cell_id: int
     features: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if self.features.shape != (N_PERIODS,):
-            raise ValueError(f"profiles need exactly {N_PERIODS} features")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features must be finite")
-        if np.any(self.features < 0):
-            raise ValueError("features must be nonnegative")
 
 
 @dataclass
@@ -59,7 +52,7 @@ class ClusterModel:
 
     @classmethod
     def load(cls, path) -> "ClusterModel":
-        data = np.load(path)
+        data = read_npz(path)
         assignments = {int(c): int(l) for c, l in zip(data["cells"], data["labels"])}
         return cls(int(data["k"]), data["centroids"], assignments,
                    float(data["sse"]), int(data["seed"]))
@@ -71,11 +64,8 @@ def compute_period_profiles(trace, utc_offset_hours: float = 1.0) -> list[Period
     A step belongs to the period containing its start time in local
     wall-clock (trace timestamps shifted by ``utc_offset_hours``). Each
     period feature is the summed activity divided by the number of distinct
-    local days in which that period occurs.
+    local days in which that period occurs (``cmd_cluster`` rejects a trace under a day).
     """
-    span_s = trace.n_steps * trace.step_duration
-    if span_s < SECONDS_PER_DAY:
-        raise ValueError("trace must cover at least one full day")
     local_s = (trace.origin_time_ms / 1000.0 + utc_offset_hours * 3600.0
                + np.arange(trace.n_steps) * trace.step_duration)
     periods = ((local_s % SECONDS_PER_DAY) // (_PERIOD_HOURS * 3600)).astype(int)
@@ -201,21 +191,16 @@ def _lloyd(points: np.ndarray, inits: np.ndarray, max_iter: int,
     return centroids, labels, sse.tolist()
 
 
-def kmeans_fit(profiles: list[PeriodProfile], k: int, seed: int,
-               n_restarts: int = 10) -> ClusterModel:
-    """Best-of-n-restarts K-means over period profiles; deterministic per seed.
+def kmeans_fit(profiles: list[PeriodProfile], k: int, seed: int) -> ClusterModel:
+    """Best-of-N_RESTARTS K-means over period profiles; deterministic per seed.
 
     The restarts are seeded and iterated in lockstep; a tie in the SSE goes
     to the lowest restart.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > len(profiles):
-        raise ValueError("k cannot exceed the number of profiles")
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be >= 1")
+    if not 1 <= k <= len(profiles):
+        raise ValueError(f"k must be in [1, {len(profiles)}] (the number of profiles)")
     points = np.stack([p.features for p in profiles])
-    rngs = [entity_rng(seed, 10, k, restart) for restart in range(n_restarts)]
+    rngs = [entity_rng(seed, 10, k, restart) for restart in range(N_RESTARTS)]
     centroids, labels, sse = _lloyd(points, _kmeans_pp_init(points, k, rngs),
                                     MAX_ITER, TOL)
     best = int(np.argmin(sse))
@@ -224,7 +209,7 @@ def kmeans_fit(profiles: list[PeriodProfile], k: int, seed: int,
 
 
 def elbow_scan(profiles: list[PeriodProfile], k_range: tuple[int, int],
-               seed: int, n_restarts: int = 10) -> list[tuple[int, float]]:
+               seed: int) -> list[tuple[int, float]]:
     """Fit each k in the inclusive range and report (k, sse), ordered by k.
 
     Besides the seeded restarts, each k also tries a warm start built from
@@ -232,13 +217,11 @@ def elbow_scan(profiles: list[PeriodProfile], k_range: tuple[int, int],
     the scan non-increasing in k.
     """
     k_lo, k_hi = k_range
-    if k_lo < 1 or k_hi > len(profiles) or k_lo > k_hi:
-        raise ValueError("k_range must lie within [1, n_profiles]")
     points = np.stack([p.features for p in profiles])
     results = []
     prev_centroids = None
     for k in range(k_lo, k_hi + 1):
-        model = kmeans_fit(profiles, k, seed, n_restarts=n_restarts)
+        model = kmeans_fit(profiles, k, seed)
         best = (model.centroids, model.sse)
         if prev_centroids is not None and prev_centroids.shape[0] == k - 1:
             d2 = _sq_dist(points, prev_centroids)

@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class TraceConfig:
-    source: str = "synthetic"  # synthetic | csv | cdr
+    source: str = "synthetic"
     path: str | None = None
     n_cells: int = 276
     n_steps: int = 8928
@@ -38,6 +38,11 @@ class TraceConfig:
     split_fraction: float = 0.9
 
     def __post_init__(self):
+        if self.source not in ("synthetic", "csv", "cdr"):
+            raise ValueError(f"source must be synthetic, csv or cdr, got {self.source!r}")
+        if self.source != "synthetic" and not self.path:
+            raise ValueError(f"source={self.source} requires path; use source=synthetic "
+                             "when the dataset is absent")
         if min(self.n_cells, self.n_steps, self.step_duration) < 1:
             raise ValueError("n_cells, n_steps and step_duration must be >= 1")
         if not 0.0 < self.split_fraction < 1.0:

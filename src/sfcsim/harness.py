@@ -32,6 +32,14 @@ def _fmt(x) -> str:
 
 # ------------------------------------------------------------------- inputs
 
+def _read_input(what: str, path, reader, *args):
+    """``reader(path, *args)``; a file it cannot read, parse or fit is the input's fault."""
+    try:
+        return reader(path, *args)
+    except (ValueError, OSError, KeyError) as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
 def build_trace(cfg: ExperimentConfig) -> trace_mod.SteppedTrace:
     """Load or generate the full stepped trace named by the config."""
     tc = cfg.trace
@@ -40,20 +48,11 @@ def build_trace(cfg: ExperimentConfig) -> trace_mod.SteppedTrace:
             tc.n_cells, tc.n_steps, derive_seed(cfg.master_seed, "trace"),
             tc.amplitude, tc.noise, tc.mean_step_total, tc.step_duration,
             tc.origin_time_ms)
-    if tc.source not in ("csv", "cdr"):
-        raise ConfigError(f"unknown trace.source {tc.source!r}")
-    if not tc.path:
-        raise ConfigError("trace.source=csv requires trace.path" if tc.source == "csv" else
-                          "trace.source=cdr requires trace.path pointing at the CDR "
-                          "dataset; use source=synthetic when the dataset is absent")
+    if tc.source == "csv":
+        return _read_input("trace.path", tc.path, trace_mod.read_trace_csv)
     cell_filter = set(cfg.cells) if cfg.cells is not None else None
-    # A file that cannot be read or parsed is a fault of the input, not of the run.
-    try:
-        if tc.source == "csv":
-            return trace_mod.read_trace_csv(tc.path)
-        return trace_mod.load_cdr_trace(tc.path, tc.step_duration, cell_filter)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"trace.path {tc.path}: {exc}") from exc
+    return _read_input("trace.path", tc.path, trace_mod.load_cdr_trace,
+                       tc.step_duration, cell_filter)
 
 
 def select_managed_cells(cfg: ExperimentConfig,
@@ -62,13 +61,10 @@ def select_managed_cells(cfg: ExperimentConfig,
     if cfg.cells is not None:
         cells, source = sorted(cfg.cells), "cells"
     elif cfg.cluster.model_path is not None:  # select_index is set with it
-        source = f"cluster {cfg.cluster.select_index} in {cfg.cluster.model_path}"
-        # A model that cannot be read, or has no such cluster, is a fault of the input.
-        try:
-            model = clustering.ClusterModel.load(cfg.cluster.model_path)
-            cells = clustering.select_cells(model, cfg.cluster.select_index)
-        except (ValueError, OSError, KeyError) as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
+        index = cfg.cluster.select_index
+        source = f"cluster {index} in {cfg.cluster.model_path}"
+        cells = _read_input(f"cluster {index} in", cfg.cluster.model_path, lambda path:
+                            clustering.select_cells(clustering.ClusterModel.load(path), index))
         if not cells:
             raise ConfigError(f"{source} is empty")
     else:
@@ -190,9 +186,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, quick: bool = False) -> Path
 def _resolve_policy(name_or_path: str, env: SfcEnv, seed: int):
     if name_or_path in policies.BASELINE_NAMES:
         return policies.make_baseline(name_or_path, env, seed)
-    net = PolicyNetwork.load(name_or_path, expect_obs_dim=env.obs_dim,
-                             expect_head_sizes=env.head_sizes)
-    return policies.PpoPolicy(net)
+    return policies.PpoPolicy(_read_input("checkpoint", name_or_path, PolicyNetwork.load,
+                                          env.obs_dim, env.head_sizes))
 
 
 def cmd_eval(cfg: ExperimentConfig, out_dir: Path, policy_spec: str,

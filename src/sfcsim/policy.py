@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from .artifacts import read_npz
 from .autodiff import Tensor
 from .seeding import entity_rng
 
@@ -187,7 +188,7 @@ class PolicyNetwork:
     @classmethod
     def load(cls, path, expect_obs_dim: int | None = None,
              expect_head_sizes: tuple[int, ...] | None = None) -> "PolicyNetwork":
-        data = np.load(path, allow_pickle=False)
+        data = read_npz(path)
         meta = json.loads(str(data["__meta__"]))
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")

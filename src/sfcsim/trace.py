@@ -77,11 +77,8 @@ class SteppedTrace:
         return self._step_totals
 
     def select_cells(self, cell_ids: list[int]) -> "SteppedTrace":
-        """Trace restricted to the given cells, in the given order."""
+        """Trace restricted to the given cells of this trace, in the given order."""
         index = {c: i for i, c in enumerate(self.cell_ids)}
-        missing = [c for c in cell_ids if c not in index]
-        if missing:
-            raise KeyError(f"cells not in trace: {missing[:5]}")
         cols = [index[c] for c in cell_ids]
         return SteppedTrace(list(cell_ids), self.steps[:, cols],  # indexing copies
                             self.step_duration, self.origin_time_ms)
@@ -155,8 +152,6 @@ def split_train_test(trace: SteppedTrace, fraction: float
 
     Returns (train, test); both hold row views of ``trace.steps``, not copies.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
     n_steps = trace.n_steps
     n_train = math.floor(fraction * n_steps)
     if not 0 < n_train < n_steps:

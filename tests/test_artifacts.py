@@ -3,13 +3,14 @@
 Every artifact goes through ``sfcsim.artifacts.write_csv``: ``# `` comment
 lines ending in ``\\n``, then header and rows as ``csv.writer`` renders them
 (``\\r\\n`` line ends). Simulator series keep full ``repr`` precision; the
-harness's summary tables use ``%.6f``.
+harness's summary tables use ``%.6f``. The one ``.npz`` reader refuses any
+other file.
 """
 
 import numpy as np
 import pytest
 
-from sfcsim.artifacts import write_csv
+from sfcsim.artifacts import read_npz, write_csv
 from sfcsim.env import StepRecord, write_step_records
 from sfcsim.harness import _fmt
 from sfcsim.simcore import SERVER_FAIL, VNF_FAIL, SimEvent
@@ -72,3 +73,14 @@ def test_artifact_bytes(write, expected, tmp_path):
     path = tmp_path / "artifact.csv"
     write(path)
     assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: np.save(path, np.zeros(3)),
+    lambda path: path.write_text("trace:\n  n_cells: 6\n"),
+], ids=["npy", "yaml"])
+def test_read_npz_rejects_other_files(tmp_path, write):
+    path = tmp_path / "model.npy"
+    write(path)
+    with pytest.raises(ValueError, match=r"^not an \.npz archive$"):
+        read_npz(path)

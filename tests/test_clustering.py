@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sfcsim.clustering import (ClusterModel, PeriodProfile, _kmeans_pp_init,
-                               compute_period_profiles, elbow_scan,
-                               kmeans_fit, select_cells, suggest_elbow_k)
+from sfcsim.clustering import (MAX_ITER, TOL, ClusterModel, PeriodProfile,
+                               _kmeans_pp_init, _lloyd, compute_period_profiles,
+                               elbow_scan, kmeans_fit, select_cells, suggest_elbow_k)
 from sfcsim.seeding import entity_rng
 from sfcsim.trace import SteppedTrace
 
@@ -49,24 +49,6 @@ def test_two_day_trace_averages_per_day():
             a = day1[lo:hi, cell_idx].sum()
             b = day2[lo:hi, cell_idx].sum()
             assert profile.features[p] == pytest.approx((a + b) / 2)
-
-
-def test_short_trace_rejected():
-    with pytest.raises(ValueError):
-        compute_period_profiles(day_trace(np.zeros((10, 1))))
-
-
-def test_profiles_require_six_nonnegative_features():
-    with pytest.raises(ValueError):
-        PeriodProfile(1, np.zeros(5))
-    with pytest.raises(ValueError):
-        PeriodProfile(1, [-1, 0, 0, 0, 0, 0])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_profiles_reject_non_finite_features(bad):
-    with pytest.raises(ValueError, match="finite"):
-        PeriodProfile(1, [0, 1, bad, 0, 0, 0])
 
 
 # ----------------------------------------------------------------- k-means
@@ -171,13 +153,6 @@ def test_k_bounds_validated():
         kmeans_fit(profiles, k=0, seed=0)
 
 
-@pytest.mark.parametrize("n_restarts", [0, -1])
-def test_kmeans_fit_rejects_no_restarts(n_restarts):
-    profiles = [PeriodProfile(i + 1, np.full(6, float(i))) for i in range(3)]
-    with pytest.raises(ValueError, match="n_restarts must be >= 1"):
-        kmeans_fit(profiles, k=2, seed=0, n_restarts=n_restarts)
-
-
 def test_sse_tie_goes_to_restart_zero():
     """Four pairs of identical profiles: every restart puts each pair in its
     own cluster (SSE 0.0) but seeds the clusters in its own order, and the
@@ -189,8 +164,7 @@ def test_sse_tie_goes_to_restart_zero():
     model = kmeans_fit(profiles, k=4, seed=1)
     assert model.sse == 0.0
     assert np.array_equal(model.centroids, inits[0])
-    assert np.array_equal(model.centroids,
-                          kmeans_fit(profiles, k=4, seed=1, n_restarts=1).centroids)
+    assert np.array_equal(model.centroids, _lloyd(rows, inits[:1], MAX_ITER, TOL)[0][0])
 
 
 # -------------------------------------------------------------------- elbow
@@ -209,13 +183,6 @@ def test_elbow_sse_non_increasing():
     scan = elbow_scan(profiles, (1, 12), seed=6)
     sses = [s for _, s in scan]
     assert all(sses[i + 1] <= sses[i] + 1e-12 for i in range(len(sses) - 1))
-
-
-@pytest.mark.parametrize("n_restarts", [0, -1])
-def test_elbow_scan_rejects_no_restarts(n_restarts):
-    profiles = [PeriodProfile(i + 1, np.full(6, float(i))) for i in range(3)]
-    with pytest.raises(ValueError, match="n_restarts must be >= 1"):
-        elbow_scan(profiles, (1, 3), seed=0, n_restarts=n_restarts)
 
 
 def test_elbow_knee_found_on_planted_blobs():

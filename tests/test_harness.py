@@ -15,6 +15,7 @@ from sfcsim.config import (ConfigError, ExperimentConfig, config_from_dict,
                            save_config)
 from sfcsim.harness import (build_envs, build_trace, cmd_cluster, cmd_eval,
                             cmd_generate_trace, cmd_train)
+from sfcsim.policy import PolicyNetwork
 from sfcsim.trace import read_trace_csv
 
 
@@ -122,6 +123,15 @@ def test_trace_source_cdr(tmp_path):
 def test_cdr_source_without_path_is_config_error():
     with pytest.raises(ConfigError, match="synthetic"):
         build_trace(tiny_config(trace={"source": "cdr"}))
+
+
+@pytest.mark.parametrize("trace, message", [
+    ({"source": "sql", "path": "t.csv"}, "source must be synthetic, csv or cdr, got 'sql'"),
+    ({"source": "csv"}, "source=csv requires path"),
+])
+def test_trace_source_rules_fail_at_load(trace, message):
+    with pytest.raises(ConfigError, match=f"invalid \\[trace\\] section: {message}"):
+        tiny_config(trace=trace)
 
 
 def test_cluster_command_writes_artifacts(tmp_path):
@@ -419,17 +429,18 @@ def test_utc_offset_bounds_load(offset):
 
 
 @pytest.mark.parametrize("model, select_index, message", [
-    pytest.param(False, 0, "No such file or directory", id="missing_model"),
-    pytest.param(True, 7, "cluster_index must be in [0, 3)", id="index_out_of_range"),
+    pytest.param(None, 0, "No such file or directory", id="missing_model"),
+    pytest.param("npz", 7, "cluster_index must be in [0, 3)", id="index_out_of_range"),
+    pytest.param("yaml", 0, "not an .npz archive", id="yaml_as_model"),
 ])
 def test_cli_bad_cluster_selection_exit_one(tmp_path, capsys, model, select_index,
                                             message):
     # caught when the managed cells are selected, so the command must build envs
-    model_path = tmp_path / "cluster_model.npz"
-    if model:
+    cfg_path = tmp_path / "exp.yaml"
+    model_path = cfg_path if model == "yaml" else tmp_path / "cluster_model.npz"
+    if model == "npz":
         clustering.ClusterModel(3, np.zeros((3, 6)), {c: c % 3 for c in range(1, 7)},
                                 0.0, 0).save(model_path)
-    cfg_path = tmp_path / "exp.yaml"
     save_config(tiny_config(cluster={"model_path": str(model_path),
                                      "select_index": select_index}), cfg_path)
     code = cli_main(["eval", "--policy", "noop", "--config", str(cfg_path),
@@ -438,6 +449,29 @@ def test_cli_bad_cluster_selection_exit_one(tmp_path, capsys, model, select_inde
     assert code == 1
     assert f"config error: cluster {select_index} in {model_path}: " in err
     assert message in err
+    assert "pickle" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("checkpoint, message", [
+    ("missing.npz", "No such file or directory"),
+    ("exp.yaml", "not an .npz archive"),
+    ("other_topology.npz", "checkpoint obs_dim 3 does not match environment obs_dim"),
+    ("static-greedy", "No such file or directory"),
+    ("corrupt.npz", "Bad CRC-32"),
+], ids=["missing", "yaml", "other_topology", "mistyped_baseline", "corrupt"])
+def test_cli_bad_checkpoint_exit_one(tmp_path, capsys, monkeypatch, checkpoint, message):
+    monkeypatch.chdir(tmp_path)  # a mistyped baseline name is read as a relative path
+    save_config(tiny_config(), "exp.yaml")
+    PolicyNetwork(3, (2, 2, 2, 2)).save("other_topology.npz")
+    damaged = bytearray(Path("other_topology.npz").read_bytes())
+    damaged[200] ^= 0xFF  # inside the first member's data
+    Path("corrupt.npz").write_bytes(damaged)
+    code = cli_main(["eval", "--quick", "--policy", checkpoint, "--config", "exp.yaml",
+                     "--out", "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"config error: checkpoint {checkpoint}: " in err and message in err
+    assert "pickle" not in err and "Traceback" not in err
 
 
 def test_cli_cluster_k_min_above_cell_count_exit_one(tmp_path, capsys):
@@ -559,13 +593,17 @@ def test_cli_missing_config_exit_one(tmp_path):
     assert cli_main(["cluster", "--config", str(tmp_path / "nope.yaml")]) == 1
 
 
-def test_cli_runtime_failure_exit_two(tmp_path):
+def test_cli_runtime_failure_exit_two(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("rollout failed")
+
+    monkeypatch.setattr(harness.policies, "evaluate_policy", fail)
     cfg_path = tmp_path / "exp.yaml"
     save_config(tiny_config(), cfg_path)
-    code = cli_main(["eval", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "out"),
-                     "--policy", str(tmp_path / "missing.npz")])
+    code = cli_main(["eval", "--quick", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out"), "--policy", "noop"])
     assert code == 2
+    assert "runtime failure: rollout failed" in capsys.readouterr().err
 
 
 def test_cli_seed_override_changes_outputs(tmp_path):
