@@ -128,7 +128,7 @@ def test_cdr_source_without_path_is_config_error():
 @pytest.mark.parametrize("trace, message", [
     ({"source": "sql", "path": "t.csv"}, "source must be synthetic, csv or cdr, got 'sql'"),
     ({"source": "csv"}, "source=csv requires path"),
-])
+], ids=["unknown_source", "csv_without_path"])
 def test_trace_source_rules_fail_at_load(trace, message):
     with pytest.raises(ConfigError, match=f"invalid \\[trace\\] section: {message}"):
         tiny_config(trace=trace)
