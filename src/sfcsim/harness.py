@@ -186,8 +186,14 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, quick: bool = False) -> Path
 def _resolve_policy(name_or_path: str, env: SfcEnv, seed: int):
     if name_or_path in policies.BASELINE_NAMES:
         return policies.make_baseline(name_or_path, env, seed)
-    return policies.PpoPolicy(_read_input("checkpoint", name_or_path, PolicyNetwork.load,
-                                          env.obs_dim, env.head_sizes))
+    try:
+        return policies.PpoPolicy(_read_input("checkpoint", name_or_path, PolicyNetwork.load,
+                                              env.obs_dim, env.head_sizes))
+    except ConfigError as exc:
+        if Path(name_or_path).exists():
+            raise
+        raise ConfigError(f"{exc}; nor is it a baseline name "
+                          f"({', '.join(policies.BASELINE_NAMES)})") from exc
 
 
 def cmd_eval(cfg: ExperimentConfig, out_dir: Path, policy_spec: str,

@@ -9,7 +9,7 @@ the RL environment.
 
 Every server and every VNF instance owns an independent seed-derived RNG
 stream, so the timing of management actions never perturbs the failure
-times of unrelated entities. The streams are bit-equal to
+times of unrelated entities. The streams are NumPy Generators bit-equal to
 ``entity_rng(seed, 1, dc, server)`` and ``entity_rng(seed, 2, instance_id)``
 and are seeded in batches (``entity_streams``): all servers' at once, and
 instances' a block at a time, when a create first needs one.
@@ -23,7 +23,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .seeding import Pcg64Stream, entity_streams
+from .seeding import entity_streams
 
 VNF_TYPES = ("SGW", "PGW", "MME", "HSS")
 N_VNF_TYPES = 4
@@ -99,7 +99,7 @@ class VnfInstance:
     age_anchor: float = 0.0
     due: float = math.inf  # failure if up, repair if down; inf if deleted or suspended
     suspended: float | None = None  # hours left to the event while the host is down
-    rng: Pcg64Stream = field(default=None, repr=False)
+    rng: np.random.Generator = field(default=None, repr=False)
 
 
 @dataclass(slots=True)
@@ -110,7 +110,7 @@ class ServerState:
     vnfs: list[VnfInstance] = field(default_factory=list)
     due: float = math.inf  # pending failure if up, pending repair if down
     down_since: float | None = None
-    rng: Pcg64Stream = field(default=None, repr=False)
+    rng: np.random.Generator = field(default=None, repr=False)
 
 
 class SimEvent(NamedTuple):
@@ -139,10 +139,8 @@ _TYPE_CAP = ActionOutcome(False, "type_cap")
 _NO_INSTANCE = ActionOutcome(False, "no_instance")
 
 
-def sample_exponential(rng: np.random.Generator | Pcg64Stream, mean: float) -> float:
-    """Strictly positive exponential draw via inverse CDF, -mean*ln(1-u)."""
-    if mean <= 0:
-        raise ValueError("mean must be > 0")
+def sample_exponential(rng: np.random.Generator, mean: float) -> float:
+    """Strictly positive exponential draw via inverse CDF, -mean*ln(1-u), mean > 0."""
     u = rng.random()
     while u == 0.0:
         u = rng.random()
@@ -227,7 +225,7 @@ class SimState:
         self.alloc.flags.writeable = False
         self._dc_alloc = [0] * topology.n_dcs
         self._up_counts = [0] * N_VNF_TYPES
-        self._vnf_streams: list[Pcg64Stream] = []
+        self._vnf_streams: list[np.random.Generator] = []
         self._energy_model, self._energy_watts = None, ()  # energy_total's table
         streams = iter(entity_streams(self.seed, _server_tags(
             topology.n_dcs, topology.servers_per_dc)))

@@ -338,6 +338,8 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"out_dir": 5}, id="out_dir_int"),
     pytest.param({"energy": {"cpu_watts": math.nan}}, id="cpu_watts_nan"),
     pytest.param({"failure": {"mttf_vnf": math.nan}}, id="mttf_vnf_nan"),
+    pytest.param({"failure": {"mttr_vnf": 0}}, id="mttr_vnf_0"),
+    pytest.param({"failure": {"mttf_server": -1.0}}, id="mttf_server_negative"),
     pytest.param({"env": {"activity_scale": math.nan}}, id="activity_scale_nan"),
     pytest.param({"trace": {"noise": -0.1}}, id="noise_negative"),
     pytest.param({"trace": {"mean_step_total": -5.0}}, id="mean_step_total_negative"),
@@ -472,6 +474,8 @@ def test_cli_bad_checkpoint_exit_one(tmp_path, capsys, monkeypatch, checkpoint, 
     assert code == 1
     assert f"config error: checkpoint {checkpoint}: " in err and message in err
     assert "pickle" not in err and "Traceback" not in err
+    # the baseline names are listed exactly when no such file exists
+    assert ("static_greedy" in err) == (checkpoint in ("missing.npz", "static-greedy"))
 
 
 def test_cli_cluster_k_min_above_cell_count_exit_one(tmp_path, capsys):

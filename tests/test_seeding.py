@@ -1,10 +1,12 @@
-"""Property tests: batch-seeded entity streams equal NumPy's, draw for draw.
+"""Property tests: batch-seeded entity streams equal NumPy's, state and draws.
 
-``entity_streams`` reimplements SeedSequence and PCG64 outside NumPy, so it
-is checked against ``entity_rng`` over the seed ranges that change how a
-seed splits into 32-bit words (0, one word, two words) and over both tag
-shapes the simulator uses. The simulator's own streams are checked through
-the failure times they schedule.
+``entity_streams`` reproduces SeedSequence's mixing outside NumPy and seeds
+NumPy's PCG64 with the words it computes, so every stream's generator state
+(the 128-bit state and increment) and first draws are checked against
+``entity_rng`` over the seed ranges that change how a seed splits into
+32-bit words (0, one word, two words) and over both tag shapes the
+simulator uses. The simulator's own streams are checked by their state and
+by the failure times they schedule.
 """
 
 import numpy as np
@@ -27,8 +29,16 @@ def assert_streams_match(seed: int, rows: list[tuple[int, ...]]) -> None:
     assert len(streams) == len(rows)
     for row, stream in zip(rows, streams):
         rng = entity_rng(seed, *row)
+        assert stream.bit_generator.state == rng.bit_generator.state, (seed, row)
         assert ([stream.random() for _ in range(N_DRAWS)]
                 == [rng.random() for _ in range(N_DRAWS)]), (seed, row)
+
+
+def assert_state_after_one_draw(stream: np.random.Generator,
+                                rng: np.random.Generator) -> None:
+    """``stream``, which scheduled one event, is ``rng`` one draw on."""
+    rng.random()
+    assert stream.bit_generator.state == rng.bit_generator.state
 
 
 @settings(max_examples=150, deadline=None)
@@ -64,8 +74,8 @@ def test_bad_tags_are_rejected():
 
 
 def test_simulator_schedules_from_entity_rng_streams():
-    """Servers' and instances' first draws are those of ``entity_rng``,
-    for instances in the first three seeding blocks."""
+    """Servers' and instances' streams start in ``entity_rng``'s state and
+    make its first draws, for instances in the first three seeding blocks."""
     topo = Topology(n_dcs=10, servers_per_dc=5, max_vnfs_per_server=5,
                     max_same_type_per_server=2)
     failure = FailureModel(mttf_server=1e9)  # no server fails while we create
@@ -73,6 +83,7 @@ def test_simulator_schedules_from_entity_rng_streams():
     state = SimState(topo, failure, seed=seed)
     for d, row in enumerate(state.servers):
         for s, server in enumerate(row):
+            assert_state_after_one_draw(server.rng, entity_rng(seed, 1, d, s))
             expected = sample_exponential(entity_rng(seed, 1, d, s),
                                           failure.mttf_server)
             assert server.due == expected
@@ -82,5 +93,6 @@ def test_simulator_schedules_from_entity_rng_streams():
         assert outcome.accepted and outcome.instance_id == i
     by_id = {inst.instance_id: inst for _, inst in instances(state)}
     for i in range(n):
+        assert_state_after_one_draw(by_id[i].rng, entity_rng(seed, 2, i))
         expected = sample_exponential(entity_rng(seed, 2, i), failure.mttf_vnf)
         assert by_id[i].due == expected
