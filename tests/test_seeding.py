@@ -71,11 +71,14 @@ def test_bad_tags_are_rejected():
         entity_streams(0, np.array([[2, 2**32]]))
     with pytest.raises(ValueError):
         entity_streams(0, [1, 2, 3])
+    with pytest.raises(ValueError):
+        entity_streams(-1, np.array([[2, 0]]))
 
 
 def test_simulator_schedules_from_entity_rng_streams():
-    """Servers' and instances' streams start in ``entity_rng``'s state and
-    make its first draws, for instances in the first three seeding blocks."""
+    """Servers' and instances' streams are ``entity_rng``'s: the same state
+    after the one draw each made, and the same failure time from it, for
+    instances in the first three seeding blocks."""
     topo = Topology(n_dcs=10, servers_per_dc=5, max_vnfs_per_server=5,
                     max_same_type_per_server=2)
     failure = FailureModel(mttf_server=1e9)  # no server fails while we create
