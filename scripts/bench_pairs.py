@@ -24,7 +24,9 @@ and records whether the digests match. The temporary directory is removed
 afterwards.
 
 ``--summary`` prints one line per workload of every ``BENCH_*.json`` in the
-checkout's root, recomputed from the per-seed metrics.
+checkout's root, recomputed from the per-seed metrics; it names each metric
+whose change median is outside its bound, with the ratio of the medians
+(``bounds EXCEEDED: peak_rss_mb 1.177x``).
 """
 
 import argparse
@@ -149,6 +151,8 @@ def summary_lines(root: Path = ROOT) -> list[str]:
             s = summarize(runs, metrics)
             head = s[HEADLINE]
             gap = head["gap_over_parent_iqr"]
+            exceeded = [f"{m} {s[m]['ratio']:.3f}x" for m in metrics
+                        if not s[m]["within_bound"]]
             lines.append(
                 f"{path.name}  {name}  {HEADLINE} {head['parent']['median']:.6g} -> "
                 f"{head['change']['median']:.6g} ({head['ratio']:.3f}x)  "
@@ -156,7 +160,7 @@ def summary_lines(root: Path = ROOT) -> list[str]:
                 f"{'n/a' if gap is None else f'{gap:.2f}'}  correct "
                 f"{s['correct']['parent']}+{s['correct']['change']}/{2 * s['pairs']}"
                 f"  failed {s['failed']['parent'] + s['failed']['change']}  "
-                f"bounds {'ok' if all(s[m]['within_bound'] for m in metrics) else 'EXCEEDED'}")
+                f"bounds {'EXCEEDED: ' + ', '.join(exceeded) if exceeded else 'ok'}")
     return lines
 
 

@@ -10,9 +10,11 @@ the RL environment.
 Every server and every VNF instance owns an independent seed-derived RNG
 stream, so the timing of management actions never perturbs the failure
 times of unrelated entities. The streams are NumPy Generators bit-equal to
-``entity_rng(seed, 1, dc, server)`` and ``entity_rng(seed, 2, instance_id)``
-and are seeded in batches (``entity_streams``): all servers' at once, and
-instances' a block at a time, when a create first needs one.
+``entity_rng(seed, 1, dc, server)`` and ``entity_rng(seed, 2, instance_id)``.
+Their seeds are mixed in one ``entity_words`` call per simulator, for all
+servers and the first block of instance ids together (one more call per
+later block); a server's Generator is built at once, an instance's when it
+is created.
 """
 
 import functools
@@ -23,7 +25,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .seeding import entity_streams
+from .seeding import entity_words, words_rng
 
 VNF_TYPES = ("SGW", "PGW", "MME", "HSS")
 N_VNF_TYPES = 4
@@ -35,7 +37,7 @@ VNF_REPAIR = "vnf_repair"
 
 _STREAM_SERVER = 1
 _STREAM_VNF = 2
-_VNF_STREAM_BLOCK = 32  # instance streams seeded per batch
+_VNF_STREAM_BLOCK = 256  # instance ids whose seed words are mixed per call
 
 
 @dataclass(frozen=True)
@@ -225,10 +227,12 @@ class SimState:
         self.alloc.flags.writeable = False
         self._dc_alloc = [0] * topology.n_dcs
         self._up_counts = [0] * N_VNF_TYPES
-        self._vnf_streams: list[np.random.Generator] = []
         self._energy_model, self._energy_watts = None, ()  # energy_total's table
-        streams = iter(entity_streams(self.seed, _server_tags(
-            topology.n_dcs, topology.servers_per_dc)))
+        words = entity_words(seed, _server_tags(topology.n_dcs, topology.servers_per_dc),
+                             _VNF_TAGS)
+        n_servers = topology.n_servers
+        self._vnf_words = words[n_servers:]  # of the current block of instance ids
+        streams = map(words_rng, words[:n_servers])
         self.servers = [
             [ServerState(d, s, rng=next(streams))
              for s in range(topology.servers_per_dc)]
@@ -356,10 +360,11 @@ class SimState:
         if self._alloc[dc, sid, vnf_type] >= self.topology.max_same_type_per_server:
             return _TYPE_CAP
         iid = self._next_instance_id
-        if iid == len(self._vnf_streams):
-            self._vnf_streams += entity_streams(self.seed, _VNF_TAGS + (0, iid))
+        block, row = divmod(iid, _VNF_STREAM_BLOCK)
+        if block and not row:
+            self._vnf_words = entity_words(self.seed, _VNF_TAGS + (0, iid))
         inst = VnfInstance(instance_id=iid, vnf_type=vnf_type,
-                           age_anchor=self.time, rng=self._vnf_streams[iid])
+                           age_anchor=self.time, rng=words_rng(self._vnf_words[row]))
         self._next_instance_id += 1
         server.vnfs.append(inst)
         self._alloc[dc, sid, vnf_type] += 1

@@ -61,6 +61,17 @@ class SteppedTrace:
         if self.steps.size and not (self.steps.min() >= 0 and self.steps.max() < math.inf):
             raise ValueError("activity values must be finite and nonnegative")
 
+    @classmethod
+    def _of_checked(cls, cell_ids: list[int], steps: np.ndarray, step_duration: int,
+                    origin_time_ms: int) -> "SteppedTrace":
+        """A trace of rows or columns of a built trace's float matrix, whose
+        values ``__post_init__`` has checked: built without its scan."""
+        trace = cls.__new__(cls)
+        trace.cell_ids, trace.steps = cell_ids, steps
+        trace.step_duration, trace.origin_time_ms = step_duration, origin_time_ms
+        trace._step_totals = None
+        return trace
+
     @property
     def n_steps(self) -> int:
         return self.steps.shape[0]
@@ -80,8 +91,8 @@ class SteppedTrace:
         """Trace restricted to the given cells of this trace, in the given order."""
         index = {c: i for i, c in enumerate(self.cell_ids)}
         cols = [index[c] for c in cell_ids]
-        return SteppedTrace(list(cell_ids), self.steps[:, cols],  # indexing copies
-                            self.step_duration, self.origin_time_ms)
+        return SteppedTrace._of_checked(list(cell_ids), self.steps[:, cols],  # a copy
+                                        self.step_duration, self.origin_time_ms)
 
 
 def load_cdr_trace(path, step_duration: int,
@@ -157,11 +168,11 @@ def split_train_test(trace: SteppedTrace, fraction: float
     if not 0 < n_train < n_steps:
         raise ValueError(f"splits the trace's {n_steps} rows into {n_train} train and "
                          f"{n_steps - n_train} test rows; both splits must be non-empty")
-    train = SteppedTrace(list(trace.cell_ids), trace.steps[:n_train],
-                         trace.step_duration, trace.origin_time_ms)
-    test = SteppedTrace(list(trace.cell_ids), trace.steps[n_train:],
-                        trace.step_duration,
-                        trace.origin_time_ms + n_train * trace.step_duration * 1000)
+    train = SteppedTrace._of_checked(list(trace.cell_ids), trace.steps[:n_train],
+                                     trace.step_duration, trace.origin_time_ms)
+    test = SteppedTrace._of_checked(list(trace.cell_ids), trace.steps[n_train:],
+                                    trace.step_duration,
+                                    trace.origin_time_ms + n_train * trace.step_duration * 1000)
     return train, test
 
 

@@ -113,3 +113,14 @@ def test_summary_lines_read_every_workload(tmp_path):
     assert lines[0].endswith("bounds ok")
     assert lines[1].startswith("BENCH_new.json  train ")
     assert "gap/IQR n/a" in lines[1]
+
+
+def test_summary_lines_name_each_exceeded_bound(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(METRICS.values())}))
+    # rss 100 + i -> 120: a median of 102 -> 120 is 1.176x, past the 5% bound
+    worse = {seed: {"parent": pair["parent"], "change": result(130.0, 120.0)}
+             for seed, pair in RUNS.items()}
+    (tmp_path / "BENCH_worse.json").write_text(
+        bench_pairs.dumps({"workloads": {"eval-random": {"summary": {}, "runs": worse}}}))
+    [line] = bench_pairs.summary_lines(tmp_path)
+    assert line.endswith("bounds EXCEEDED: peak_rss_mb 1.176x")

@@ -278,6 +278,17 @@ def test_split_halves_are_row_views():
     assert np.shares_memory(test.steps, trace.steps)
 
 
+def test_split_and_select_cells_do_not_rescan_a_checked_trace():
+    # a value written after the check stays: the halves and the selection
+    # are built from the checked matrix without scanning it again
+    trace = generate_synthetic_trace(3, 20, seed=4)
+    trace.steps[0, 1] = np.nan
+    train, test = split_train_test(trace, 0.5)
+    assert np.isnan(train.steps[0, 1]) and not np.isnan(test.steps).any()
+    assert test.step_totals().tolist() == trace.steps[10:].sum(axis=1).tolist()
+    assert np.isnan(trace.select_cells([2]).steps[0, 0])
+
+
 # ------------------------------------------------------------------ synthetic
 
 def test_synthetic_is_bitwise_reproducible():
