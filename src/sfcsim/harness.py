@@ -209,19 +209,15 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path, policy_spec: str,
     logger.info("evaluated %d runs x %d steps in %.3fs (%.0f steps/s)", n_runs,
                 result.n_steps, elapsed, n_runs * result.n_steps / elapsed)
 
-    cum_reward = result.cumulative_reward()
-    cum_lost = result.cumulative_lost()
-    rows = []
-    for t in range(result.n_steps):
-        rows.append([
-            t,
-            _fmt(result.rewards[:, t].mean()), _fmt(result.rewards[:, t].std()),
-            _fmt(cum_reward[:, t].mean()), _fmt(cum_reward[:, t].std()),
-            _fmt(result.lost[:, t].mean()), _fmt(result.lost[:, t].std()),
-            _fmt(cum_lost[:, t].mean()), _fmt(cum_lost[:, t].std()),
-            _fmt(result.sfc[:, t].mean()),
-            _fmt(result.energy[:, t].mean()), _fmt(result.energy[:, t].std()),
-        ])
+    # Each (runs, steps) series as one C-order (steps, runs) copy: a row's
+    # mean and std sum its runs in the order x[:, t].mean() and .std() do.
+    reward, cum_reward, lost, cum_lost, sfc, energy = (x.T.copy() for x in (
+        result.rewards, result.rewards.cumsum(axis=1), result.lost,
+        result.lost.cumsum(axis=1), result.sfc, result.energy))
+    columns = [stat(axis=1) for x in (reward, cum_reward, lost, cum_lost)
+               for stat in (x.mean, x.std)]
+    columns += [sfc.mean(axis=1), energy.mean(axis=1), energy.std(axis=1)]
+    rows = ([t, *map(_fmt, stats)] for t, stats in enumerate(zip(*columns)))
     label = Path(policy_spec).stem if policy_spec not in policies.BASELINE_NAMES \
         else policy_spec
     write_csv(out_dir / f"eval_steps_{label}.csv",
@@ -233,13 +229,9 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path, policy_spec: str,
     write_step_records(result.step_records,
                        out_dir / f"eval_run0_steps_{label}.csv", _comments(cfg))
 
-    summary = result.summary()
-    write_csv(out_dir / f"eval_summary_{label}.csv",
-              ["policy", "n_runs", "total_lost_packets", "mean_reward",
-               "mean_energy_w", "sfc_uptime_fraction"],
-              [[label, result.n_runs, _fmt(summary["total_lost_packets"]),
-                _fmt(summary["mean_reward"]), _fmt(summary["mean_energy_w"]),
-                _fmt(summary["sfc_uptime_fraction"])]],
+    summary = result.summary()  # n_runs, then the float statistics
+    write_csv(out_dir / f"eval_summary_{label}.csv", ["policy", *summary],
+              [[label, *(_fmt(v) if isinstance(v, float) else v for v in summary.values())]],
               _comments(cfg))
     logger.info("eval %s over %d runs: %s", label, n_runs, summary)
     return summary

@@ -8,7 +8,7 @@ passes them ``obs=None``; a policy without the attribute gets the vector.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,14 +186,13 @@ def make_baseline(name: str, env: SfcEnv, seed: int = 0):
 
 @dataclass
 class EvalResult:
-    """Per-run step series and cross-run statistics from seeded rollouts."""
+    """Per-run step series of seeded rollouts, and run 0's step records."""
 
-    seeds: list[int]
     rewards: np.ndarray  # (n_runs, T)
     lost: np.ndarray
     sfc: np.ndarray
     energy: np.ndarray
-    step_records: list = field(default_factory=list)  # env step records of run 0
+    step_records: list  # env step records of run 0
 
     @property
     def n_runs(self) -> int:
@@ -202,12 +201,6 @@ class EvalResult:
     @property
     def n_steps(self) -> int:
         return self.rewards.shape[1]
-
-    def cumulative_lost(self) -> np.ndarray:
-        return np.cumsum(self.lost, axis=1)
-
-    def cumulative_reward(self) -> np.ndarray:
-        return np.cumsum(self.rewards, axis=1)
 
     def summary(self) -> dict[str, float]:
         return {
@@ -237,7 +230,6 @@ def evaluate_policy(policy, env: SfcEnv, n_runs: int, seeds: list[int] | None = 
     T = env.episode_steps()
     rewards, lost, sfc, energy = (np.zeros((n_runs, T)) for _ in range(4))
     obs = np.empty(env.obs_dim) if getattr(policy, "reads_obs", True) else None
-    first_records = []
     for r, seed in enumerate(seeds):
         env.reset(seed)
         policy.reset(seed)
@@ -249,5 +241,5 @@ def evaluate_policy(policy, env: SfcEnv, n_runs: int, seeds: list[int] | None = 
         rewards[r], lost[r], sfc[r], energy[r] = zip(
             *[(rec.reward, rec.lost, rec.sfc, rec.energy_w) for rec in records])
         if r == 0:
-            first_records = list(records)
-    return EvalResult(list(seeds), rewards, lost, sfc, energy, first_records)
+            first_records = records  # reset gives each run a new list
+    return EvalResult(rewards, lost, sfc, energy, first_records)

@@ -189,7 +189,7 @@ def evaluate_oracle(policy, env, n_runs: int, seeds: list[int] | None = None,
             t += 1
         if r == 0:
             first_records = list(env.step_records)
-    return EvalResult(list(seeds), rewards, lost, sfc, energy, first_records)
+    return EvalResult(rewards, lost, sfc, energy, first_records)
 
 
 def cdr_trace_oracle(path, step_duration: int,

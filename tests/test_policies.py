@@ -100,7 +100,7 @@ def test_evaluate_policy_shapes_and_summary():
     summary = result.summary()
     assert summary["n_runs"] == 3
     assert 0.0 <= summary["sfc_uptime_fraction"] <= 1.0
-    assert result.cumulative_lost().shape == (3, 12)
+    assert np.cumsum(result.lost, axis=1).shape == (3, 12)
 
 
 def test_evaluate_single_run_has_zero_std():
