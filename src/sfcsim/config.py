@@ -144,6 +144,8 @@ _INF_OK = {("failure", f.name) for f in fields(FailureModel)} | {("ppo", "max_gr
 
 
 def _build_section(cls, data: dict, section: str):
+    if section == "ppo" and "seed" in data:
+        raise ConfigError("[ppo] seed is derived from master_seed; set master_seed instead")
     known = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(known)
     if unknown:
@@ -200,8 +202,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
+    data = config_to_dict(cfg)
+    del data["ppo"]["seed"]  # derived from master_seed; a YAML may not set it
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=True)
+        yaml.safe_dump(data, fh, sort_keys=True)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

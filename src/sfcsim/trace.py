@@ -8,7 +8,7 @@ in one pass, from the synthetic diurnal generator, or from a trace CSV.
 
 import logging
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +34,12 @@ class TraceFormatError(ValueError):
     """Raised when an input file does not follow the expected layout."""
 
 
+def _check_distinct(cell_ids) -> None:
+    repeated = sorted(c for c, n in Counter(cell_ids).items() if n > 1)
+    if repeated:
+        raise ValueError(f"repeated cell ids: {repeated}")
+
+
 @dataclass
 class SteppedTrace:
     """Per-cell activity aggregated into fixed steps.
@@ -57,6 +63,7 @@ class SteppedTrace:
             raise ValueError("steps must be a 2-D matrix (n_steps, n_cells)")
         if self.steps.shape[1] != len(self.cell_ids):
             raise ValueError("column count must match cell_ids")
+        _check_distinct(self.cell_ids)
         # min is nan if any value is; two reductions, no temporary array
         if self.steps.size and not (self.steps.min() >= 0 and self.steps.max() < math.inf):
             raise ValueError("activity values must be finite and nonnegative")
@@ -89,6 +96,7 @@ class SteppedTrace:
 
     def select_cells(self, cell_ids: list[int]) -> "SteppedTrace":
         """Trace restricted to the given cells of this trace, in the given order."""
+        _check_distinct(cell_ids)
         index = {c: i for i, c in enumerate(self.cell_ids)}
         cols = [index[c] for c in cell_ids]
         return SteppedTrace._of_checked(list(cell_ids), self.steps[:, cols],  # a copy

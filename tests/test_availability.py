@@ -16,6 +16,11 @@ long run with no actions after setup, walked from one entity's ``due`` time
 to the next; its standard error comes from batch means. Each event kind's
 durations are also checked against their exponential with a
 Kolmogorov-Smirnov statistic.
+
+At the env level, after ``SfcEnv.step`` creates one instance of each type on
+four distinct servers and ``noop`` runs on, a step loses its packets exactly
+when the chain is down at its end. Past a burn-in, each seeded run's lost
+packets over its packets estimate 1 - A_chain, and the runs are independent.
 """
 
 import dataclasses
@@ -25,8 +30,11 @@ import math
 import numpy as np
 import pytest
 
+from sfcsim.env import ActionTuple, EnvConfig, SfcEnv
+from sfcsim.policies import NoopPolicy
 from sfcsim.simcore import (N_VNF_TYPES, SERVER_FAIL, SERVER_REPAIR, VNF_FAIL,
-                            VNF_REPAIR, FailureModel, SimState, Topology)
+                            VNF_REPAIR, EnergyModel, FailureModel, SimState, Topology)
+from sfcsim.trace import generate_synthetic_trace
 
 from helpers import instances
 
@@ -98,6 +106,52 @@ def test_exact_availability_of_one_instance_per_type():
     a_s, a_v = 10.0 / 11.0, 0.8
     assert exact_chain_availability(PLACEMENTS["one_per_type_distinct_servers"],
                                     FAILURE, 4) == pytest.approx((a_s * a_v) ** 4)
+
+
+ENV_STEPS = 2400  # 200 hours of 300-s steps
+# steps; the slowest relaxation time, 1 / (1/mttf_server + 1/mttr_server), is 11
+ENV_BURN_IN = 120
+ENV_SEEDS = range(50)
+
+
+def noop_run_after_setup(env: SfcEnv, seed: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """One run: create type s on server s (retried while a server is down),
+    then ``noop``. Returns each step's lost and packets, and its energy
+    record next to the number of instances then allocated."""
+    env.reset(seed)
+    policy = NoopPolicy()
+    todo = list(PLACEMENTS["one_per_type_distinct_servers"])
+    lost, packets, energy = [], [], []
+    while not env.done:
+        action = ActionTuple(1, 0, *todo[0]) if todo else policy.act(None, env)
+        record = env.step(action)
+        if todo and record.accepted:
+            todo.pop(0)
+        lost.append(record.lost)
+        packets.append(record.packets)
+        energy.append((record.energy_w, N_VNF_TYPES - len(todo)))
+    assert not todo
+    return np.array(lost), np.array(packets), energy
+
+
+def test_noop_env_loses_the_chain_down_fraction_of_packets():
+    env = SfcEnv(generate_synthetic_trace(5, ENV_STEPS, seed=3), TOPOLOGY, FAILURE,
+                 EnergyModel(), EnvConfig())
+    watts = [0.0]  # n instances' watts added one at a time, as the energy table sums them
+    for _ in range(N_VNF_TYPES):
+        watts.append(watts[-1] + EnergyModel.cpu_watts + EnergyModel.mem_watts)
+    exact = exact_chain_availability(PLACEMENTS["one_per_type_distinct_servers"], FAILURE,
+                                     TOPOLOGY.servers_per_dc)
+    totals = env.trace.step_totals()
+    ratios = []
+    for seed in ENV_SEEDS:
+        lost, packets, energy = noop_run_after_setup(env, seed)
+        assert packets.tolist() == totals.tolist()
+        assert all(energy_w == watts[n] for energy_w, n in energy)
+        ratios.append(lost[ENV_BURN_IN:].sum() / packets[ENV_BURN_IN:].sum())
+    ratios = np.array(ratios)
+    z = (ratios.mean() - (1 - exact)) / (ratios.std(ddof=1) / math.sqrt(len(ratios)))
+    assert abs(z) < 4, (ratios.mean(), 1 - exact, z)
 
 
 def durations_by_kind(events, started_before: float) -> dict[str, np.ndarray]:

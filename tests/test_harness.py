@@ -354,6 +354,7 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"cluster": {"model_path": "m.npz", "select_index": -1}},
                  id="select_index_negative"),
     pytest.param({"ppo": {"max_grad_norm": None}}, id="max_grad_norm_null"),
+    pytest.param({"ppo": {"seed": 123}}, id="ppo_seed"),
     *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
       for section, key, value in REMOVED_KEYS],
 ])
@@ -534,13 +535,14 @@ GOOD_CSV = "step_index,cell_1,cell_2\n0,1.0,2.0\n1,3.0,4.0\n2,5.0,6.0\n3,7.0,8.0
     ("csv", GOOD_CSV.replace("4.0", "nan"), "activity values must be finite and nonnegative"),
     ("csv", GOOD_CSV.replace("4.0", "inf"), "activity values must be finite and nonnegative"),
     ("csv", GOOD_CSV.replace("cell_2", "tower_2"), "unexpected trace header in"),
+    ("csv", GOOD_CSV.replace("cell_2", "cell_1"), "repeated cell ids: [1]"),
     ("csv", None, "No such file or directory"),
     ("csv", GOOD_CSV.split("\n")[0] + "\n", "no data rows in"),
     # 2 of 10 rows have the wrong column count: above the 10% the loader allows
     ("cdr", "1\t0\t39\t\t\t\t\t1.5\n" * 8 + "1\t0\t39\n" * 2, "2/10 malformed rows in"),
     ("cdr", "1\t0\t39\t\t\t\t\t\n", "no usable records in"),
-], ids=["negative", "nan", "inf", "header", "missing", "csv_no_rows", "cdr_malformed",
-        "cdr_no_usable_rows"])
+], ids=["negative", "nan", "inf", "header", "repeated_cell", "missing", "csv_no_rows",
+        "cdr_malformed", "cdr_no_usable_rows"])
 def test_cli_bad_trace_file_exit_one(tmp_path, capsys, source, text, message):
     path = tmp_path / "trace.txt"
     if text is not None:
@@ -584,6 +586,25 @@ def test_cli_bad_cells_exit_one(tmp_path, capsys, cells, message):
     assert code == 1
     assert f"config error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_cli_ppo_seed_exit_one(tmp_path, capsys):
+    # train always derives the agent's seed from master_seed, so a YAML's
+    # ppo.seed would only move the config hash
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump({"ppo": {"seed": 123}}))
+    out = tmp_path / "out"
+    code = cli_main(["train", "--quick", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error: [ppo] seed is derived from master_seed; set master_seed instead" in err
+    assert not out.exists()
+
+
+def test_saved_config_has_no_ppo_seed(tmp_path):
+    path = tmp_path / "exp.yaml"
+    save_config(tiny_config(), path)
+    assert "seed" not in yaml.safe_load(path.read_text())["ppo"]
 
 
 def test_cli_negative_seed_flag_exit_one(tmp_path, capsys):

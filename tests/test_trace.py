@@ -289,6 +289,21 @@ def test_split_and_select_cells_do_not_rescan_a_checked_trace():
     assert np.isnan(trace.select_cells([2]).steps[0, 0])
 
 
+def test_repeated_cell_ids_are_rejected():
+    with pytest.raises(ValueError, match=re.escape("repeated cell ids: [1, 3]")):
+        SteppedTrace([3, 1, 2, 1, 3], np.zeros((4, 5)))
+    trace = SteppedTrace([1, 2, 3], np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=re.escape("repeated cell ids: [2]")):
+        trace.select_cells([2, 3, 2])
+
+
+def test_csv_with_a_repeated_cell_column_is_rejected(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("step_index,cell_1,cell_1\n0,1.0,2.0\n")
+    with pytest.raises(ValueError, match=re.escape("repeated cell ids: [1]")):
+        read_trace_csv(path)
+
+
 # ------------------------------------------------------------------ synthetic
 
 def test_synthetic_is_bitwise_reproducible():
