@@ -354,7 +354,6 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"cluster": {"model_path": "m.npz", "select_index": -1}},
                  id="select_index_negative"),
     pytest.param({"ppo": {"max_grad_norm": None}}, id="max_grad_norm_null"),
-    pytest.param({"ppo": {"seed": 123}}, id="ppo_seed"),
     *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
       for section, key, value in REMOVED_KEYS],
 ])
@@ -599,12 +598,6 @@ def test_cli_ppo_seed_exit_one(tmp_path, capsys):
     assert code == 1
     assert "config error: [ppo] seed is derived from master_seed; set master_seed instead" in err
     assert not out.exists()
-
-
-def test_saved_config_has_no_ppo_seed(tmp_path):
-    path = tmp_path / "exp.yaml"
-    save_config(tiny_config(), path)
-    assert "seed" not in yaml.safe_load(path.read_text())["ppo"]
 
 
 def test_cli_negative_seed_flag_exit_one(tmp_path, capsys):

@@ -297,13 +297,6 @@ def test_repeated_cell_ids_are_rejected():
         trace.select_cells([2, 3, 2])
 
 
-def test_csv_with_a_repeated_cell_column_is_rejected(tmp_path):
-    path = tmp_path / "trace.csv"
-    path.write_text("step_index,cell_1,cell_1\n0,1.0,2.0\n")
-    with pytest.raises(ValueError, match=re.escape("repeated cell ids: [1]")):
-        read_trace_csv(path)
-
-
 # ------------------------------------------------------------------ synthetic
 
 def test_synthetic_is_bitwise_reproducible():
