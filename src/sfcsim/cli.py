@@ -38,8 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the master seed")
         cmd.add_argument("--out", type=Path, default=None,
                          help="output directory (default from config)")
-        cmd.add_argument("--quick", action="store_true",
-                         help="reduced replication profile for smoke runs")
+        if name in ("train", "eval"):
+            cmd.add_argument("--quick", action="store_true",
+                             help="reduced replication profile for smoke runs")
         if name == "eval":
             cmd.add_argument("--policy", required=True,
                              help="checkpoint path or baseline name "
@@ -48,7 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after its usage message
+        return 1 if exc.code else 0
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")

@@ -6,11 +6,10 @@ override file values. Every derived artifact records the config hash and
 seed in a header comment so runs can be traced back to their inputs.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
@@ -184,10 +183,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -201,14 +196,7 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    data = config_to_dict(cfg)
-    del data["ppo"]["seed"]  # derived from master_seed; a YAML may not set it
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(data, fh, sort_keys=True)
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
     """Short stable digest of the full configuration."""
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True)
+    canonical = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]

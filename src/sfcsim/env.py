@@ -89,13 +89,15 @@ class SfcEnv:
         self._step_totals = trace.step_totals().tolist()
         self._step_hours = trace.step_duration / 3600.0
         self._last_row = trace.n_steps - 1
-        self._n_cells = trace.n_cells
+        # sizes, fixed with the trace and topology; head_sizes per action component
+        self.n_cells = trace.n_cells
+        self.obs_dim = self.n_cells + topology.n_servers * N_VNF_TYPES
+        self.head_sizes = (4, topology.n_dcs, topology.servers_per_dc, N_VNF_TYPES)
         # Observation divisors, 1.0 when not normalized: x / 1.0 is x, and the
         # kept counts block is float64 either way
         normalize = config.normalize_obs
         self._activity_scale = float(config.activity_scale or 1) if normalize else 1.0
         self._alloc_scale = float(topology.max_vnfs_per_server if normalize else 1)
-        self._obs_dim = self.obs_dim
         self._alloc_block: np.ndarray | None = None  # see encode_observation
         self._energy_w = 0.0  # watts of the allocation, kept with _alloc_block
         self.sim: SimState | None = None
@@ -105,21 +107,6 @@ class SfcEnv:
         self._cum_reward = 0.0
         self._cum_lost = 0.0
         self._sfc_steps = 0
-
-    # ------------------------------------------------------------ dimensions
-
-    @property
-    def n_cells(self) -> int:
-        return self.trace.n_cells
-
-    @property
-    def obs_dim(self) -> int:
-        return self.n_cells + self.topology.n_servers * N_VNF_TYPES
-
-    @property
-    def head_sizes(self) -> tuple[int, int, int, int]:
-        """Sizes of the four categorical action components."""
-        return (4, self.topology.n_dcs, self.topology.servers_per_dc, N_VNF_TYPES)
 
     def action_from_components(self, components) -> ActionTuple:
         """Map sampled head indices to an action (head 0 is 0-based)."""
@@ -229,8 +216,8 @@ class SfcEnv:
         allocation in an episode, rewrites the one entry it changed; the
         energy total (down instances draw power too) is kept with it."""
         if out is None:
-            out = np.empty(self._obs_dim)
-        n_cells = self._n_cells
+            out = np.empty(self.obs_dim)
+        n_cells = self.n_cells
         np.divide(self.trace.steps[min(self._row, self._last_row)], self._activity_scale,
                   out=out[:n_cells])
         out[n_cells:] = self._alloc_block

@@ -156,8 +156,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, quick: bool = False) -> Path
     started = time.time()
     net, log = ppo.train(env_factory, ppo_cfg)
     elapsed = time.time() - started
+    trained = log.updates[-1]["global_step"] if log.updates else 0  # whole updates kept
     logger.info("trained %d env steps in %.1fs (aborted=%s, episodes=%d)",
-                ppo_cfg.total_steps, elapsed, log.aborted, len(log.episodes))
+                trained, elapsed, log.aborted, len(log.episodes))
 
     checkpoint = out_dir / "checkpoint.npz"
     net.save(checkpoint, config_hash(cfg), cfg.master_seed)

@@ -45,7 +45,6 @@ class RandomPolicy:
     reads_obs = False
 
     def __init__(self, head_sizes: tuple[int, int, int, int], seed: int = 0):
-        self.head_sizes = head_sizes
         self._sizes = np.array(head_sizes, dtype=np.int64)
         self.reset(seed)
 

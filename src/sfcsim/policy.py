@@ -81,10 +81,7 @@ class PolicyNetwork:
         return h, np.tanh(h @ p["w2"] + p["b2"])
 
     def forward_np(self, obs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per-head logits and state values for a batch of observations."""
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        if obs.shape[1] != self.obs_dim:
-            raise ValueError(f"expected obs dim {self.obs_dim}, got {obs.shape[1]}")
+        """Per-head logits and state values for a (batch, obs_dim) float64 array."""
         _, trunk = self._trunk_np(obs)
         p = self.params
         logits = [trunk @ p[f"wh{i}"] + p[f"bh{i}"]
@@ -135,10 +132,6 @@ class PolicyNetwork:
 
     # ----------------------------------------------------------- tensor path
 
-    def build_tensors(self) -> dict[str, Tensor]:
-        """Wrap the current parameters as graph leaves for one update."""
-        return {k: Tensor(v, requires_grad=True) for k, v in self.params.items()}
-
     def forward_t(self, tensors: dict[str, Tensor], obs: np.ndarray
                   ) -> tuple[list[Tensor], Tensor]:
         """Differentiable forward: per-head log-softmax tensors and values."""
@@ -186,26 +179,36 @@ class PolicyNetwork:
         np.savez(path, __meta__=json.dumps(meta), **self.params, **extra)
 
     @classmethod
-    def load(cls, path, expect_obs_dim: int | None = None,
-             expect_head_sizes: tuple[int, ...] | None = None) -> "PolicyNetwork":
+    def load(cls, path, obs_dim: int, head_sizes: tuple[int, ...]) -> "PolicyNetwork":
+        """A saved network, checked in full against the environment's sizes:
+        the meta's, then every array's shape and values (finite, and the
+        observation variance nonnegative)."""
         data = read_npz(path)
         meta = json.loads(str(data["__meta__"]))
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        if expect_obs_dim is not None and meta["obs_dim"] != expect_obs_dim:
+        if meta["obs_dim"] != obs_dim:
             raise ValueError(
                 f"checkpoint obs_dim {meta['obs_dim']} does not match "
-                f"environment obs_dim {expect_obs_dim}")
-        if (expect_head_sizes is not None
-                and tuple(meta["head_sizes"]) != tuple(expect_head_sizes)):
+                f"environment obs_dim {obs_dim}")
+        if tuple(meta["head_sizes"]) != tuple(head_sizes):
             raise ValueError(
                 f"checkpoint head sizes {meta['head_sizes']} do not match "
-                f"topology head sizes {list(expect_head_sizes)}")
-        net = cls(meta["obs_dim"], tuple(meta["head_sizes"]),
-                  tuple(meta["hidden"]))
-        for key in net.params:
-            net.params[key] = np.asarray(data[key], dtype=np.float64)
+                f"topology head sizes {list(head_sizes)}")
+        net = cls(obs_dim, head_sizes, tuple(meta["hidden"]))
+        shapes = {key: value.shape for key, value in net.params.items()}
         if meta.get("has_obs_stats"):
-            net.obs_stats = (np.asarray(data["obs_mean"], dtype=np.float64),
-                             np.asarray(data["obs_var"], dtype=np.float64))
+            shapes.update(obs_mean=(obs_dim,), obs_var=(obs_dim,))
+        arrays = {key: np.asarray(data[key], dtype=np.float64) for key in shapes}
+        for key, value in arrays.items():
+            if value.shape != shapes[key]:
+                raise ValueError(f"checkpoint array {key} has shape {value.shape}, "
+                                 f"expected {shapes[key]}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"checkpoint array {key} has a non-finite value")
+        if meta.get("has_obs_stats"):
+            if (arrays["obs_var"] < 0).any():
+                raise ValueError("checkpoint array obs_var has a negative value")
+            net.obs_stats = (arrays.pop("obs_mean"), arrays.pop("obs_var"))
+        net.params.update(arrays)
         return net

@@ -262,4 +262,6 @@ def read_trace_csv(path) -> SteppedTrace:
     cells = [int(h[len("cell_"):]) for h in header[1:]]
     # comments=None: a '#' inside a data row is an error, not a comment
     values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    if not np.array_equal(values[:, 0], np.arange(len(values))):
+        raise TraceFormatError(f"step_index in {path} must run 0..{len(values) - 1} in order")
     return SteppedTrace(cells, values[:, 1:], duration, origin)

@@ -18,13 +18,18 @@ are the earlier forms of ``SfcEnv.encode_observation``,
 ``evaluate_policy``, ``trace.load_cdr_trace`` and
 ``trace.generate_synthetic_trace``, kept as the oracles that the current
 ones must match bit for bit.
+``save_config`` writes a config as a YAML that ``load_config`` reads back,
+and ``build_tensors`` wraps a network's parameters as autodiff graph leaves.
 """
 
+import dataclasses
 import math
 
 import numpy as np
+import yaml
 
 from sfcsim.artifacts import write_csv
+from sfcsim.autodiff import Tensor
 from sfcsim.env import ActionTuple
 from sfcsim.policies import EvalResult
 from sfcsim.policy import PolicyNetwork
@@ -67,6 +72,18 @@ def nudge(x: float, ulps: int) -> float:
     for _ in range(abs(ulps)):
         x = math.nextafter(x, math.copysign(math.inf, ulps))
     return x
+
+
+def save_config(cfg, path) -> None:
+    data = dataclasses.asdict(cfg)
+    del data["ppo"]["seed"]  # derived from master_seed; a YAML may not set it
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(data, fh, sort_keys=True)
+
+
+def build_tensors(net: PolicyNetwork) -> dict[str, Tensor]:
+    """Wrap the current parameters as graph leaves for one update."""
+    return {k: Tensor(v, requires_grad=True) for k, v in net.params.items()}
 
 
 def write_event_log(events: list[SimEvent], path,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 import tracemalloc
 from pathlib import Path
@@ -11,12 +12,13 @@ import yaml
 from sfcsim import clustering, config, harness
 from sfcsim.cli import main as cli_main
 from sfcsim.config import (ConfigError, ExperimentConfig, config_from_dict,
-                           config_hash, config_to_dict, load_config,
-                           save_config)
+                           config_hash, load_config)
 from sfcsim.harness import (build_envs, build_trace, cmd_cluster, cmd_eval,
                             cmd_generate_trace, cmd_train)
 from sfcsim.policy import PolicyNetwork
 from sfcsim.trace import read_trace_csv
+
+from helpers import save_config
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -39,9 +41,9 @@ def test_config_round_trip_is_idempotent(tmp_path):
     path = tmp_path / "exp.yaml"
     save_config(cfg, path)
     loaded = load_config(path)
-    assert config_to_dict(loaded) == config_to_dict(cfg)
+    assert dataclasses.asdict(loaded) == dataclasses.asdict(cfg)
     save_config(loaded, path)
-    assert config_to_dict(load_config(path)) == config_to_dict(cfg)
+    assert dataclasses.asdict(load_config(path)) == dataclasses.asdict(cfg)
 
 
 def test_config_hash_tracks_content():
@@ -236,16 +238,20 @@ def test_train_and_eval_stamp_the_same_config_hash(tmp_path):
     assert meta["config_hash"] == expected
 
 
-def test_quick_train_and_eval_stamp_the_yaml_hash(tmp_path, monkeypatch):
+def test_quick_train_and_eval_stamp_the_yaml_hash(tmp_path, monkeypatch, caplog):
     # train --quick caps total_steps in its own copy, so the checkpoint and
     # every CSV of train --quick and eval --quick carry the YAML's hash.
-    monkeypatch.setattr(harness, "QUICK_TRAIN_STEPS", 128)
+    monkeypatch.setattr(harness, "QUICK_TRAIN_STEPS", 200)
     cfg_path = tmp_path / "exp.yaml"
     save_config(tiny_config(), cfg_path)
     expected = config_hash(load_config(cfg_path))
     out = tmp_path / "out"
+    caplog.set_level(logging.INFO, logger="sfcsim.harness")
     assert cli_main(["train", "--quick", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
+    # the 200 steps asked for make one whole 2 x 64-step update, and the log says so
+    assert [r.getMessage().split(" in ")[0] for r in caplog.records
+            if r.getMessage().startswith("trained ")] == ["trained 128 env steps"]
     assert cli_main(["eval", "--quick", "--config", str(cfg_path),
                      "--out", str(out), "--policy",
                      str(out / "checkpoint.npz")]) == 0
@@ -460,7 +466,11 @@ def test_cli_bad_cluster_selection_exit_one(tmp_path, capsys, model, select_inde
     ("other_topology.npz", "checkpoint obs_dim 3 does not match environment obs_dim"),
     ("static-greedy", "No such file or directory"),
     ("corrupt.npz", "Bad CRC-32"),
-], ids=["missing", "yaml", "other_topology", "mistyped_baseline", "corrupt"])
+    ("nan_weights.npz", "checkpoint array w1 has a non-finite value"),
+    ("short_head.npz", "checkpoint array wh2 has shape (64, 1), expected (64, 2)"),
+    ("negative_var.npz", "checkpoint array obs_var has a negative value"),
+], ids=["missing", "yaml", "other_topology", "mistyped_baseline", "corrupt",
+        "nan_weights", "short_head", "negative_var"])
 def test_cli_bad_checkpoint_exit_one(tmp_path, capsys, monkeypatch, checkpoint, message):
     monkeypatch.chdir(tmp_path)  # a mistyped baseline name is read as a relative path
     save_config(tiny_config(), "exp.yaml")
@@ -468,6 +478,18 @@ def test_cli_bad_checkpoint_exit_one(tmp_path, capsys, monkeypatch, checkpoint, 
     damaged = bytearray(Path("other_topology.npz").read_bytes())
     damaged[200] ^= 0xFF  # inside the first member's data
     Path("corrupt.npz").write_bytes(damaged)
+    # checkpoints whose meta fits the env but whose arrays do not
+    _, env = build_envs(tiny_config())
+    net = PolicyNetwork(env.obs_dim, env.head_sizes)
+    params = net.copy_params()
+    net.params["w1"][:] = np.nan
+    net.save("nan_weights.npz")
+    net.set_params(params)
+    net.params["wh2"], net.params["bh2"] = params["wh2"][:, :1], params["bh2"][:1]
+    net.save("short_head.npz")  # the meta still says 2 servers per DC
+    net.set_params(params)
+    net.obs_stats = (np.zeros(env.obs_dim), np.full(env.obs_dim, -1.0))
+    net.save("negative_var.npz")
     code = cli_main(["eval", "--quick", "--policy", checkpoint, "--config", "exp.yaml",
                      "--out", "out"])
     err = capsys.readouterr().err
@@ -537,11 +559,13 @@ GOOD_CSV = "step_index,cell_1,cell_2\n0,1.0,2.0\n1,3.0,4.0\n2,5.0,6.0\n3,7.0,8.0
     ("csv", GOOD_CSV.replace("cell_2", "cell_1"), "repeated cell ids: [1]"),
     ("csv", None, "No such file or directory"),
     ("csv", GOOD_CSV.split("\n")[0] + "\n", "no data rows in"),
+    ("csv", "step_index,cell_1,cell_2\n5,1.0,2.0\n0,3.0,4.0\n0,5.0,6.0\n",
+     "step_index in"),
     # 2 of 10 rows have the wrong column count: above the 10% the loader allows
     ("cdr", "1\t0\t39\t\t\t\t\t1.5\n" * 8 + "1\t0\t39\n" * 2, "2/10 malformed rows in"),
     ("cdr", "1\t0\t39\t\t\t\t\t\n", "no usable records in"),
 ], ids=["negative", "nan", "inf", "header", "repeated_cell", "missing", "csv_no_rows",
-        "cdr_malformed", "cdr_no_usable_rows"])
+        "step_index", "cdr_malformed", "cdr_no_usable_rows"])
 def test_cli_bad_trace_file_exit_one(tmp_path, capsys, source, text, message):
     path = tmp_path / "trace.txt"
     if text is not None:
@@ -609,6 +633,26 @@ def test_cli_negative_seed_flag_exit_one(tmp_path, capsys):
 
 def test_cli_missing_config_exit_one(tmp_path):
     assert cli_main(["cluster", "--config", str(tmp_path / "nope.yaml")]) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval"], 1),  # no --policy
+    (["bogus"], 1),
+    (["cluster", "--quick"], 1),  # only train and eval read --quick
+    (["generate-trace", "--quick"], 1),
+    (["eval", "--policy", "noop", "--runs", "3"], 1),
+    (["--help"], 0),
+    (["eval", "--help"], 0),
+], ids=["eval_without_policy", "unknown_command", "cluster_quick", "generate_trace_quick",
+        "unknown_flag", "help", "eval_help"])
+def test_cli_usage_error_exit_one(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    save_config(tiny_config(), "exp.yaml")
+    assert cli_main([*argv, "--config", "exp.yaml"]) == code
+    captured = capsys.readouterr()
+    assert "usage: sfcsim" in (captured.err if code else captured.out)
+    assert not Path("out").exists()
+
 
 
 def test_cli_runtime_failure_exit_two(tmp_path, capsys, monkeypatch):

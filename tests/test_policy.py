@@ -82,7 +82,7 @@ def test_checkpoint_round_trip(tmp_path):
     net = tiny_net(seed=9)
     path = tmp_path / "ckpt.npz"
     net.save(path, config_hash="abc123", seed=9)
-    loaded = PolicyNetwork.load(path)
+    loaded = PolicyNetwork.load(path, 6, (4, 3, 2, 4))
     obs = np.random.default_rng(7).normal(size=(3, 6))
     l1, v1 = net.forward_np(obs)
     l2, v2 = loaded.forward_np(obs)
@@ -96,12 +96,12 @@ def test_checkpoint_rejects_mismatched_topology(tmp_path):
     path = tmp_path / "ckpt.npz"
     net.save(path)
     with pytest.raises(ValueError, match="head sizes"):
-        PolicyNetwork.load(path, expect_head_sizes=(4, 10, 5, 4))
+        PolicyNetwork.load(path, 6, (4, 10, 5, 4))
     with pytest.raises(ValueError, match="obs_dim"):
-        PolicyNetwork.load(path, expect_obs_dim=476)
+        PolicyNetwork.load(path, 476, (4, 3, 2, 4))
 
 
 def test_forward_rejects_wrong_obs_dim():
     net = tiny_net()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matmul"):
         net.forward_np(np.zeros((2, 5)))

@@ -6,7 +6,7 @@ from sfcsim.policy import PolicyNetwork
 from sfcsim.ppo import (Adam, PpoConfig, ReturnNormalizer, RunningObsStats,
                         compute_gae, ppo_loss, train)
 
-from helpers import head_log_probs
+from helpers import build_tensors, head_log_probs
 from toy_env import CorridorEnv, greedy_return
 
 
@@ -121,7 +121,7 @@ def graph_loss(policy, batch, config):
     Returns (loss tensor, parameter tensors, diagnostics); call
     ``loss.backward()`` to fill each parameter tensor's ``grad``.
     """
-    tensors = policy.build_tensors()
+    tensors = build_tensors(policy)
     log_probs, values = policy.forward_t(tensors, batch["obs"])
     actions = batch["actions"]
     new_logp = log_probs[0].take_along_rows(actions[:, 0])

@@ -383,3 +383,11 @@ def test_trace_csv_round_trip(tmp_path):
     assert loaded.step_duration == trace.step_duration
     assert loaded.origin_time_ms == trace.origin_time_ms
     assert np.array_equal(loaded.steps, trace.steps)
+
+
+@pytest.mark.parametrize("indices", [[5, 0, 0], [1, 2, 3], [0, 2, 1], [0, 1, 1], [0, 0.5, 2]])
+def test_trace_csv_rejects_a_step_index_out_of_order(tmp_path, indices):
+    path = tmp_path / "trace.csv"
+    path.write_text("step_index,cell_1\n" + "".join(f"{i},1.0\n" for i in indices))
+    with pytest.raises(TraceFormatError, match=r"step_index in .* must run 0\.\.2 in order"):
+        read_trace_csv(path)
