@@ -16,7 +16,7 @@ import yaml
 from .env import EnvConfig
 from .ppo import PpoConfig
 from .simcore import EnergyModel, FailureModel, Topology
-from .trace import DEFAULT_ORIGIN_MS, DEFAULT_STEP_DURATION
+from .trace import DEFAULT_ORIGIN_MS, DEFAULT_STEP_DURATION, repeated_ids
 
 
 class ConfigError(ValueError):
@@ -110,9 +110,12 @@ class ExperimentConfig:
                 raise ConfigError(f"cells must be a list of ints, got {cells!r}")
             if not cells:
                 raise ConfigError("cells must name at least one cell; omit it to manage every cell")
-            repeated = sorted({c for c in cells if cells.count(c) > 1})
+            repeated = repeated_ids(cells)
             if repeated:
                 raise ConfigError(f"cells: repeated cell ids: {repeated}")
+            if self.cluster.model_path is not None:  # select_index is set with it
+                raise ConfigError("cells and cluster.model_path/select_index both choose "
+                                  "the managed cells; set one of them")
 
 
 _SECTIONS = {

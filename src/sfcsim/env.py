@@ -179,8 +179,8 @@ class SfcEnv:
         sim = self.sim
         accepted = sim.apply_action(a, dc, server, vnf_type).accepted
         if accepted and a in (1, 2):  # one count moved: its entry, then the energy sum
-            self._alloc_block[(dc * self.topology.servers_per_dc + server) * N_VNF_TYPES
-                              + vnf_type] = sim.alloc[dc, server, vnf_type] / self._alloc_scale
+            i = (dc * self.topology.servers_per_dc + server) * N_VNF_TYPES + vnf_type
+            self._alloc_block[i] = sim.alloc_counts[i] / self._alloc_scale
             self._energy_w = sim.energy_total(self.energy)
         sim.advance_to(sim.time + self._step_hours)
 

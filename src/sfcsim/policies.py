@@ -8,6 +8,7 @@ passes them ``obs=None``; a policy without the attribute gets the vector.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,16 +144,16 @@ class StaticGreedyPolicy:
         """First up server, in (dc, server) order, with the fewest instances
         among those with room for one more of ``vnf_type``."""
         topo = sim.topology
-        alloc = sim.alloc
-        load = alloc.sum(axis=2)
-        up = np.array([[server.up for server in row] for row in sim.servers])
-        room = (up & (load < topo.max_vnfs_per_server)
-                & (alloc[:, :, vnf_type] < topo.max_same_type_per_server))
-        if not room.any():
-            return None
-        best = np.argmin(np.where(room, load, topo.max_vnfs_per_server))
-        dc, server = np.unravel_index(best, load.shape)
-        return int(dc), int(server)
+        counts, cap = sim.alloc_counts, topo.max_same_type_per_server
+        best, best_load = None, topo.max_vnfs_per_server
+        i = vnf_type  # the server's entry of vnf_type in alloc_counts
+        for row in sim.servers:
+            for server in row:
+                load = len(server.vnfs)
+                if load < best_load and server.up and counts[i] < cap:
+                    best, best_load = server, load
+                i += N_VNF_TYPES
+        return None if best is None else (best.dc_id, best.server_id)
 
 
 class PpoPolicy:
@@ -211,6 +212,9 @@ class EvalResult:
         }
 
 
+_ROW_FIELDS = operator.attrgetter("reward", "lost", "sfc", "energy_w")
+
+
 def evaluate_policy(policy, env: SfcEnv, n_runs: int, seeds: list[int] | None = None,
                     master_seed: int = 0) -> EvalResult:
     """Run seeded episodes and collect per-step metrics.
@@ -237,8 +241,7 @@ def evaluate_policy(policy, env: SfcEnv, n_runs: int, seeds: list[int] | None = 
                 env.encode_observation(obs)
             env.step(policy.act(obs, env))
         records = env.step_records
-        rewards[r], lost[r], sfc[r], energy[r] = zip(
-            *[(rec.reward, rec.lost, rec.sfc, rec.energy_w) for rec in records])
+        rewards[r], lost[r], sfc[r], energy[r] = zip(*map(_ROW_FIELDS, records))
         if r == 0:
             first_records = records  # reset gives each run a new list
     return EvalResult(rewards, lost, sfc, energy, first_records)

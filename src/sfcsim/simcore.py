@@ -194,10 +194,12 @@ class SimState:
 
     Aggregates kept up to date by the six transitions (create, delete,
     restart, VNF fail/repair, server fail/repair), so no query scans the
-    instances: ``_alloc[dc, server, type]`` counts allocated instances, up
-    or down (``alloc`` is a read-only view of it); ``_dc_alloc`` sums it per
-    DC (``dc_alloc`` is a copy); ``_up_counts[type]`` counts up instances on
-    up servers. Writing an ``up`` field from outside bypasses them and is
+    instances: ``alloc_counts`` is a flat list of Python ints, the allocated
+    instances, up or down, of each (dc, server, type) in that order (entry
+    ``(dc * servers_per_dc + server) * N_VNF_TYPES + type``; ``vnf_counts``
+    is it as an array); ``_dc_alloc`` sums it per DC (``dc_alloc`` is a
+    copy); ``_up_counts[type]`` counts up instances on up servers. Writing
+    ``alloc_counts`` or an ``up`` field from outside bypasses them and is
     unsupported.
 
     ``changes`` counts processed events and accepted creates, deletes and
@@ -221,10 +223,7 @@ class SimState:
         self._seq = 0
         self._next_instance_id = 0
         self._heap: list[tuple] = []
-        self._alloc = np.zeros(
-            (topology.n_dcs, topology.servers_per_dc, N_VNF_TYPES), dtype=int)
-        self.alloc = self._alloc.view()
-        self.alloc.flags.writeable = False
+        self.alloc_counts = [0] * (topology.n_servers * N_VNF_TYPES)
         self._dc_alloc = [0] * topology.n_dcs
         self._up_counts = [0] * N_VNF_TYPES
         self._energy_model, self._energy_watts = None, ()  # energy_total's table
@@ -356,8 +355,9 @@ class SimState:
     def _create(self, server: ServerState, vnf_type: int) -> ActionOutcome:
         if len(server.vnfs) >= self.topology.max_vnfs_per_server:
             return _SERVER_FULL
-        dc, sid = server.dc_id, server.server_id
-        if self._alloc[dc, sid, vnf_type] >= self.topology.max_same_type_per_server:
+        dc = server.dc_id
+        i = (dc * self.topology.servers_per_dc + server.server_id) * N_VNF_TYPES + vnf_type
+        if self.alloc_counts[i] >= self.topology.max_same_type_per_server:
             return _TYPE_CAP
         iid = self._next_instance_id
         block, row = divmod(iid, _VNF_STREAM_BLOCK)
@@ -367,7 +367,7 @@ class SimState:
                            age_anchor=self.time, rng=words_rng(self._vnf_words[row]))
         self._next_instance_id += 1
         server.vnfs.append(inst)
-        self._alloc[dc, sid, vnf_type] += 1
+        self.alloc_counts[i] += 1
         self._dc_alloc[dc] += 1
         self._up_counts[vnf_type] += 1
         self._schedule(server, inst)
@@ -380,16 +380,23 @@ class SimState:
             return 1.0
         return vnf_fail_risk(inst, self.time, self.failure.mttf_vnf)
 
+    def _riskiest(self, candidates: list[VnfInstance]) -> VnfInstance:
+        """The highest-risk candidate, the lowest id among ties; a lone one unscored."""
+        if len(candidates) == 1:
+            return candidates[0]
+        return max(candidates, key=lambda v: (self._targeting_risk(v), -v.instance_id))
+
     def _delete(self, server: ServerState, vnf_type: int) -> ActionOutcome:
         candidates = [v for v in server.vnfs if v.vnf_type == vnf_type]
         if not candidates:
             return _NO_INSTANCE
-        target = max(candidates,
-                     key=lambda v: (self._targeting_risk(v), -v.instance_id))
+        target = self._riskiest(candidates)
         target.due = math.inf  # cancel any pending event
         server.vnfs.remove(target)
-        self._alloc[server.dc_id, server.server_id, vnf_type] -= 1
-        self._dc_alloc[server.dc_id] -= 1
+        dc = server.dc_id
+        self.alloc_counts[(dc * self.topology.servers_per_dc + server.server_id)
+                          * N_VNF_TYPES + vnf_type] -= 1
+        self._dc_alloc[dc] -= 1
         if target.up:
             self._up_counts[vnf_type] -= 1
         self.changes += 1
@@ -399,8 +406,7 @@ class SimState:
         candidates = [v for v in server.vnfs if v.vnf_type == vnf_type and v.up]
         if not candidates:
             return _NO_INSTANCE
-        target = max(candidates,
-                     key=lambda v: (self._targeting_risk(v), -v.instance_id))
+        target = self._riskiest(candidates)
         target.age_anchor = self.time
         self._schedule(server, target)
         self.changes += 1
@@ -422,8 +428,10 @@ class SimState:
         return list(self._up_counts)
 
     def vnf_counts(self) -> np.ndarray:
-        """Allocated instances per (dc, server, type), up or not (a copy)."""
-        return self._alloc.copy()
+        """Allocated instances per (dc, server, type), up or not (a new array)."""
+        topo = self.topology
+        return np.array(self.alloc_counts, dtype=int).reshape(
+            topo.n_dcs, topo.servers_per_dc, N_VNF_TYPES)
 
     def energy_consumption(self, model: EnergyModel) -> tuple[float, list[float]]:
         """Total watts and per-DC breakdown over all allocated instances.

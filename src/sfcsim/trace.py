@@ -34,8 +34,13 @@ class TraceFormatError(ValueError):
     """Raised when an input file does not follow the expected layout."""
 
 
+def repeated_ids(ids) -> list:
+    """The ids that occur more than once in ``ids``, sorted: one counting pass."""
+    return sorted(c for c, n in Counter(ids).items() if n > 1)
+
+
 def _check_distinct(cell_ids) -> None:
-    repeated = sorted(c for c, n in Counter(cell_ids).items() if n > 1)
+    repeated = repeated_ids(cell_ids)
     if repeated:
         raise ValueError(f"repeated cell ids: {repeated}")
 

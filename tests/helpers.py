@@ -155,13 +155,29 @@ def encode_observation_oracle(env) -> np.ndarray:
     return vector
 
 
+def least_loaded_oracle(sim, vnf_type: int) -> tuple[int, int] | None:
+    """``StaticGreedyPolicy._least_loaded`` as a NumPy ``argmin`` over the
+    (dc, server) grid, the servers without room scored at the server cap."""
+    topo = sim.topology
+    alloc = sim.vnf_counts()
+    load = alloc.sum(axis=2)
+    up = np.array([[server.up for server in row] for row in sim.servers])
+    room = (up & (load < topo.max_vnfs_per_server)
+            & (alloc[:, :, vnf_type] < topo.max_same_type_per_server))
+    if not room.any():
+        return None
+    best = np.argmin(np.where(room, load, topo.max_vnfs_per_server))
+    dc, server = np.unravel_index(best, load.shape)
+    return int(dc), int(server)
+
+
 def greedy_act_oracle(policy, env) -> ActionTuple:
     """``StaticGreedyPolicy.act`` over the raw ``instances`` walk."""
     sim = env.sim
     counts = sim.operational_type_counts()
     for vnf_type in range(N_VNF_TYPES):
         if counts[vnf_type] == 0:
-            target = policy._least_loaded(sim, vnf_type)
+            target = least_loaded_oracle(sim, vnf_type)
             if target is not None:
                 return ActionTuple(1, target[0], target[1], vnf_type)
     riskiest = None

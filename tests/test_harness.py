@@ -611,6 +611,32 @@ def test_cli_bad_cells_exit_one(tmp_path, capsys, cells, message):
     assert "Traceback" not in err
 
 
+def test_ten_thousand_cells_load():
+    # the Milan grid's square count; the repeated-id check is one counting pass
+    cells = list(range(1, 10_001))
+    assert config_from_dict({"cells": cells}).cells == cells
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"cells": cells + [9_999, 7]})
+    assert str(exc.value) == "cells: repeated cell ids: [7, 9999]"
+
+
+@pytest.mark.parametrize("command", [["eval", "--quick", "--policy", "noop"],
+                                     ["generate-trace"]], ids=["eval", "generate_trace"])
+def test_cli_cells_and_cluster_model_exit_one(tmp_path, capsys, command):
+    # cells used to win silently: the model file was never opened
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump({
+        "cells": [1, 2, 3], "trace": {"n_cells": 6, "n_steps": 600},
+        "cluster": {"model_path": str(tmp_path / "missing.npz"), "select_index": 0}}))
+    out = tmp_path / "out"
+    code = cli_main([*command, "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert ("config error: cells and cluster.model_path/select_index both choose "
+            "the managed cells; set one of them") in err
+    assert not out.exists()
+
+
 def test_cli_ppo_seed_exit_one(tmp_path, capsys):
     # train always derives the agent's seed from master_seed, so a YAML's
     # ppo.seed would only move the config hash

@@ -3,9 +3,10 @@ against their earlier forms, bit for bit.
 
 ``SfcEnv.encode_observation`` must equal the two-divide encoding,
 ``PolicyNetwork.sample`` the per-head sampler, ``StaticGreedyPolicy.act``
-the raw ``instances`` walk and ``RandomPolicy``'s block draws the scalar
-``Generator.integers`` draws (all kept in ``helpers``) over random action
-sequences, simulator states and seeds. The training step
+the raw ``instances`` walk, its ``_least_loaded`` the NumPy ``argmin`` rule
+and ``RandomPolicy``'s block draws the scalar ``Generator.integers`` draws
+(all kept in ``helpers``) over random action sequences, simulator states,
+topologies and seeds. The training step
 ``SfcEnv.step_into`` must give what ``SfcEnv.step`` gives, as Python
 scalars. The shared rejection outcomes must keep their reason strings, and
 the energy table a state keeps must follow the model it is asked about.
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (encode_observation_oracle, force_server_failure, greedy_act_oracle,
-                     head_log_probs, instances, nudge, random_act_oracle, sample_oracle,
-                     set_age_anchor, skip_floor, step_obs)
+                     head_log_probs, instances, least_loaded_oracle, nudge, random_act_oracle,
+                     sample_oracle, set_age_anchor, skip_floor, step_obs)
 from sfcsim.env import ActionTuple, EnvConfig, SfcEnv, StepRecord
 from sfcsim.policies import RandomPolicy, StaticGreedyPolicy
 from sfcsim.policy import PolicyNetwork
@@ -258,7 +259,7 @@ def test_greedy_scan_matches_instances_walk(seed, operations, threshold, mttf_vn
             set_age_anchor(state, placed[op[1] % len(placed)], state.time - age)
         elif op[0] == "anchor_past_now" and placed:
             set_age_anchor(state, placed[op[1] % len(placed)], state.time + op[2])
-        assert state.dc_alloc == tuple(state.alloc.sum(axis=(1, 2)).tolist())
+        assert state.dc_alloc == tuple(state.vnf_counts().sum(axis=(1, 2)).tolist())
         action = policy.act(None, env)
         assert action == greedy_act_oracle(policy, env)
         if op[0] == "greedy":
@@ -301,6 +302,44 @@ def test_greedy_skip_floor_holds_within_one_ulp(threshold, mttf_vnf):
     assert action == greedy_act_oracle(policy, env)
     if threshold < 0:
         assert action == ActionTuple(3, 3, 0, 0)
+
+
+@st.composite
+def topology_and_operations(draw):
+    max_vnfs = draw(st.integers(1, 4))
+    topo = Topology(n_dcs=draw(st.integers(1, 3)), servers_per_dc=draw(st.integers(1, 4)),
+                    max_vnfs_per_server=max_vnfs,
+                    max_same_type_per_server=draw(st.integers(1, max_vnfs)))
+    dc, server = st.integers(0, topo.n_dcs - 1), st.integers(0, topo.servers_per_dc - 1)
+    operation = st.one_of(
+        # creates drawn most often, so servers fill up and reach their type caps
+        st.tuples(st.just("act"), st.sampled_from((1, 1, 1, 2)), dc, server,
+                  st.integers(0, N_VNF_TYPES - 1)),
+        st.tuples(st.just("fail_server"), dc, server),
+        st.tuples(st.just("advance"), st.floats(0.0, 1.0)),  # repairs in 0.5 h on average
+    )
+    return topo, draw(st.lists(operation, max_size=60)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=topology_and_operations())
+def test_least_loaded_matches_argmin_rule(case):
+    # down servers, full servers, type caps and tied loads: the first
+    # strictly smaller load in (dc, server) order is NumPy's argmin answer
+    topo, operations, seed = case
+    state = SimState(topo, FailureModel(mttf_server=1e12, mttr_server=0.5, mttf_vnf=1e12),
+                     seed=seed)
+    for op in operations:
+        if op[0] == "act":
+            state.apply_action(*op[1:])
+        elif op[0] == "advance":
+            state.advance_to(state.time + op[1])
+        elif state.servers[op[1]][op[2]].up:
+            force_server_failure(state, state.servers[op[1]][op[2]], state.time)
+            state.advance_to(state.time)
+        for vnf_type in range(N_VNF_TYPES):
+            assert (StaticGreedyPolicy._least_loaded(state, vnf_type)
+                    == least_loaded_oracle(state, vnf_type))
 
 
 def test_greedy_restart_tie_keeps_first_in_walk_order():
@@ -402,6 +441,7 @@ def test_allocation_delta_matches_full_rebuild(case, use_step_into):
             env.step(ActionTuple(a, dc, server, vnf_type))
         block = env.sim.vnf_counts().reshape(-1) / scale
         assert env._alloc_block.tobytes() == block.tobytes()
+        assert all(type(n) is int for n in env.sim.alloc_counts)
         total = env.sim.energy_consumption(env.energy)[0]
         assert type(env._energy_w) is float and repr(env._energy_w) == repr(total)
         assert repr(env.sim.energy_total(env.energy)) == repr(total)
