@@ -359,6 +359,8 @@ REMOVED_KEYS = [("env", "step_duration", 600), ("env", "eval_mode", True),
     pytest.param({"cluster": {"model_path": "m.npz"}}, id="model_path_without_select_index"),
     pytest.param({"cluster": {"model_path": "m.npz", "select_index": -1}},
                  id="select_index_negative"),
+    pytest.param({"cells": [1, 2], "cluster": {"model_path": "m.npz", "select_index": 0}},
+                 id="cells_with_cluster_model"),
     pytest.param({"ppo": {"max_grad_norm": None}}, id="max_grad_norm_null"),
     *[pytest.param({section: {key: value}}, id=f"removed_{section}_{key}")
       for section, key, value in REMOVED_KEYS],
@@ -620,16 +622,15 @@ def test_ten_thousand_cells_load():
     assert str(exc.value) == "cells: repeated cell ids: [7, 9999]"
 
 
-@pytest.mark.parametrize("command", [["eval", "--quick", "--policy", "noop"],
-                                     ["generate-trace"]], ids=["eval", "generate_trace"])
-def test_cli_cells_and_cluster_model_exit_one(tmp_path, capsys, command):
+def test_cli_cells_and_cluster_model_exit_one(tmp_path, capsys):
     # cells used to win silently: the model file was never opened
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text(yaml.safe_dump({
         "cells": [1, 2, 3], "trace": {"n_cells": 6, "n_steps": 600},
         "cluster": {"model_path": str(tmp_path / "missing.npz"), "select_index": 0}}))
     out = tmp_path / "out"
-    code = cli_main([*command, "--config", str(cfg_path), "--out", str(out)])
+    code = cli_main(["eval", "--quick", "--policy", "noop", "--config", str(cfg_path),
+                     "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert ("config error: cells and cluster.model_path/select_index both choose "
